@@ -34,6 +34,7 @@
 #define MERCURY_BENCH_BENCH_UTIL_HH
 
 #include <algorithm>
+#include <charconv>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -142,9 +143,6 @@ class Session
             {"--jobs", "N",
              "sweep worker threads (0 = all hardware threads); "
              "output byte-identical to --jobs=1"},
-            {"--shards", "N",
-             "PDES shards per cluster simulation (0 = all hardware "
-             "threads); output byte-identical to --shards=1"},
             {"--help", nullptr, "show the uniform bench flags and exit"},
         };
         count = sizeof(specs) / sizeof(specs[0]);
@@ -214,9 +212,6 @@ class Session
                 smoke_ = true;
             } else if (match(arg, "--jobs", i, argc, argv, value)) {
                 jobs_ = parseJobs(value);
-            } else if (match(arg, "--shards", i, argc, argv,
-                             value)) {
-                shards_ = parseJobs(value);
             } else if (arg == "--help") {
                 std::fputs(helpText(registry_.name()).c_str(),
                            stdout);
@@ -272,18 +267,6 @@ class Session
     jobs() const
     {
         return tracer_ ? 1u : jobs_;
-    }
-
-    /**
-     * PDES shards for ClusterSim (ClusterSimParams::shards).
-     * Tracing forces 1 for the same single-writer reason as jobs();
-     * the sharded engine also falls back to the serial walk on its
-     * own whenever a zero-lookahead client coupling is configured.
-     */
-    unsigned
-    shards() const
-    {
-        return tracer_ ? 1u : shards_;
     }
 
     /** Size sweep honouring --smoke. */
@@ -414,14 +397,25 @@ class Session
         return parsed > 0 ? static_cast<std::uint64_t>(parsed) : 1;
     }
 
-    /** "--jobs 0" means one worker per hardware thread. */
-    static unsigned
-    parseJobs(const std::string &value)
+    /** "--jobs 0" means one worker per hardware thread. Anything
+     * but a plain decimal that fits an unsigned (a sign, trailing
+     * garbage, overflow) fails fast with exit 2, like an unknown
+     * flag. */
+    unsigned
+    parseJobs(const std::string &value) const
     {
-        const long parsed = std::strtol(value.c_str(), nullptr, 10);
-        if (parsed <= 0)
+        unsigned parsed = 0;
+        const char *const end = value.data() + value.size();
+        const auto [ptr, ec] = std::from_chars(value.data(), end, parsed);
+        if (ec != std::errc{} || ptr != end) {
+            std::fprintf(stderr, "%s: invalid --jobs value '%s'; "
+                                 "see --help\n",
+                         registry_.name().c_str(), value.c_str());
+            std::exit(2);
+        }
+        if (parsed == 0)
             return std::max(1u, std::thread::hardware_concurrency());
-        return static_cast<unsigned>(parsed);
+        return parsed;
     }
 
     /** The "--flag" part of "--flag=value" (or the whole token). */
@@ -542,8 +536,8 @@ class Session
     std::string timeseriesPath_;
     /** Serializes the capture/append/finish emission state. Today
      * ParallelSweep publishes in submission order from one thread;
-     * the capability makes that discipline machine-checked so the
-     * PDES merge workers cannot silently start appending unlocked. */
+     * the capability makes that discipline machine-checked so no
+     * future worker can silently start appending unlocked. */
     mutable sim::Mutex emitMutex_;
     std::string captured_ GUARDED_BY(emitMutex_);
     std::string timeseries_ GUARDED_BY(emitMutex_);
@@ -553,7 +547,6 @@ class Session
     bool smoke_ = false;
     bool finished_ = false;
     unsigned jobs_ = 1;
-    unsigned shards_ = 1;
 };
 
 /**

@@ -197,8 +197,6 @@ class _FileChecker:
         self.cast_exempt = rules.exempt(rel, rules.TICK_CAST_EXEMPT)
         self.telemetry_exempt = rules.exempt(rel,
                                              rules.TELEMETRY_EXEMPT)
-        self.cross_shard_exempt = rules.exempt(
-            rel, rules.CROSS_SHARD_EXEMPT)
 
     def emit(self, cursor, rule, msg):
         loc = cursor.location
@@ -237,10 +235,6 @@ class _FileChecker:
         if "telemetry-json" in sel and not self.telemetry_exempt and \
                 c.kind == CK.CALL_EXPR:
             self.check_telemetry(c)
-        if "cross-shard-schedule" in sel and \
-                not self.cross_shard_exempt and \
-                c.kind == CK.CALL_EXPR:
-            self.check_cross_shard(c)
         if "wall-clock" in sel and not self.wall_exempt:
             self.check_wall_clock(c)
         if "host-rng" in sel and not self.rng_exempt:
@@ -322,41 +316,6 @@ class _FileChecker:
                       f"'{decl.spelling}' came from the event arena "
                       f"(makeEvent/make); the queue releases it -- "
                       f"manual delete is a double free")
-
-    def check_cross_shard(self, c):
-        if (c.spelling or "") not in ("schedule", "reschedule"):
-            return
-        CK = self.CK
-        children = list(c.get_children())
-        if not children:
-            return
-        # children[0] is the member expression; its tokens cover the
-        # object expression, so the chained queueFor(...).schedule()
-        # form shows up directly...
-        member = children[0]
-        member_tokens = " ".join(
-            t.spelling for t in member.get_tokens())
-        flagged = bool(re.search(r"\bqueueFor\s*\(", member_tokens))
-        if not flagged:
-            # ...and the bound-reference form resolves through the
-            # referenced declaration's initializer, like the
-            # arena-delete variable tracking.
-            ref = None
-            for child in member.get_children():
-                if child.kind == CK.DECL_REF_EXPR:
-                    ref = child
-            if ref is not None and ref.referenced is not None:
-                decl_tokens = " ".join(
-                    t.spelling for t in ref.referenced.get_tokens())
-                flagged = bool(
-                    re.search(r"\bqueueFor\s*\(", decl_tokens))
-        if flagged:
-            self.emit(c, "cross-shard-schedule",
-                      "direct schedule through "
-                      "ShardedSim::queueFor() bypasses the inbox "
-                      "protocol and breaks byte-identity; use "
-                      "send()/ShardChannel (or localQueue() for "
-                      "self-events)")
 
     def check_telemetry(self, c):
         callee = c.spelling or ""

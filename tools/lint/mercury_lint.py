@@ -24,8 +24,7 @@ tools/lint/budget.json, checked by --budget):
 The determinism family is the static half of the reproducibility
 contract: goldens and timeline digests catch nondeterminism after the
 fact, these rules ban its sources (host clocks, host RNG, pointer-
-keyed ordering, unordered iteration) before the parallel-PDES work
-shards the simulator across threads.
+keyed ordering, unordered iteration) before they reach a run.
 
 Usage:
   mercury_lint.py [options] <dir-or-file> [...]

@@ -67,14 +67,6 @@ RULES = {
         "implementation- and seed-dependent; sort the keys (or "
         "switch to std::map) before the results can reach emitted "
         "output or simulated state."),
-    "cross-shard-schedule": (
-        "A direct EventQueue::schedule()/reschedule() through "
-        "ShardedSim::queueFor(). Scheduling into another shard's "
-        "queue bypasses the inbox protocol, so the event order "
-        "depends on the partition and host interleaving -- the "
-        "byte-identity contract breaks. Use ShardedSim::send() (or "
-        "a net::ShardChannel) for cross-node messages and "
-        "localQueue() for a node's own events."),
     "result-class": (
         "A result field marked `///< [outcome]` is not summed in the "
         "same file's accountedRequests(). Outcome classes must "
@@ -108,13 +100,6 @@ HOST_RNG_EXEMPT = (
 
 # Files that define the Tick conversion helpers.
 TICK_CAST_EXEMPT = ("src/sim/types.hh",)
-
-# The PDES coordinator itself: the only code allowed to schedule
-# through queueFor() (its inbox drain is the inbox protocol).
-CROSS_SHARD_EXEMPT = (
-    "src/sim/sharded_sim.hh",
-    "src/sim/sharded_sim.cc",
-)
 
 # The canonical JSONL writers, the only places allowed to spell JSON
 # keys into raw output calls.

@@ -17,8 +17,11 @@ When the two files disagree on their `smoke` flag the tolerance is
 doubled: smoke runs do less warmup, so their rates sit further from
 the full run's steady state.
 
-Exit codes: 0 ok (or no baseline -- nothing to compare), 1 at least
-one rate regressed, 2 usage/parse error.
+A missing baseline is a failure, not a pass: a gate whose input is
+absent has compared nothing.
+
+Exit codes: 0 every rate within tolerance, 1 at least one rate
+regressed or the baseline is missing, 2 usage/parse error.
 """
 
 import argparse
@@ -57,10 +60,11 @@ def main():
 
     if not os.path.exists(args.baseline):
         print(
-            f"perfguard: no baseline at {args.baseline}; "
-            "nothing to compare"
+            f"perfguard: no baseline at {args.baseline}; commit one "
+            "from a full scripts/bench.sh run",
+            file=sys.stderr,
         )
-        return 0
+        return 1
 
     try:
         with open(args.baseline) as fh:
