@@ -28,25 +28,24 @@ namespace
 using namespace mercury;
 using namespace mercury::server;
 
-enum class Path { Tcp, Udp, Bypass };
-
 const char *
-pathName(Path path)
+pathName(net::DatapathKind kind)
 {
-    switch (path) {
-    case Path::Tcp:
+    switch (kind) {
+    case net::DatapathKind::Kernel:
         return "tcp";
-    case Path::Udp:
+    case net::DatapathKind::KernelUdp:
         return "udp";
-    case Path::Bypass:
+    case net::DatapathKind::Bypass:
         return "bypass";
     }
     return "?";
 }
 
 double
-tpsFor(const cpu::CoreParams &core, Path path, std::uint32_t size,
-       bench::PointContext &ctx, const std::string &name)
+tpsFor(const cpu::CoreParams &core, net::DatapathKind kind,
+       std::uint32_t size, bench::PointContext &ctx,
+       const std::string &name)
 {
     ServerModelParams p;
     p.core = core;
@@ -54,17 +53,10 @@ tpsFor(const cpu::CoreParams &core, Path path, std::uint32_t size,
     p.storeMemLimit = 48 * miB;
     p.name = name;
     p.statsParent = ctx.statsParent();
-    switch (path) {
-    case Path::Tcp:
-        break;
-    case Path::Udp:
-        p.udpGets = true;
-        break;
-    case Path::Bypass:
-        p.datapath.kind = net::DatapathKind::Bypass;
+    p.datapath.kind = kind;
+    if (p.datapath.bypass()) {
         p.datapath.rxBatch = 32;
         p.datapath.txBatch = 32;
-        break;
     }
     ServerModel model(p);
     const double tps = model.measureGets(size).avgTps;
@@ -117,11 +109,13 @@ main(int argc, char **argv)
                     std::string(choice.slug) + "_s" +
                     std::to_string(size) + "_";
                 double tps[3] = {0, 0, 0};
-                for (Path path :
-                     {Path::Tcp, Path::Udp, Path::Bypass}) {
-                    tps[static_cast<int>(path)] =
-                        tpsFor(choice.core, path, size, ctx,
-                               stem + pathName(path));
+                for (net::DatapathKind kind :
+                     {net::DatapathKind::Kernel,
+                      net::DatapathKind::KernelUdp,
+                      net::DatapathKind::Bypass}) {
+                    tps[static_cast<int>(kind)] =
+                        tpsFor(choice.core, kind, size, ctx,
+                               stem + pathName(kind));
                 }
                 ctx.printf("%-12s %-8s %12.0f %12.0f %12.0f %9.2fx "
                            "%9.2fx\n",

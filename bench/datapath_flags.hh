@@ -12,8 +12,10 @@
 #ifndef MERCURY_BENCH_DATAPATH_FLAGS_HH
 #define MERCURY_BENCH_DATAPATH_FLAGS_HH
 
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -76,6 +78,27 @@ datapathFlagSpecs()
     };
 }
 
+/** A finite, non-negative MB budget whose derived entry count fits
+ * an unsigned; anything else (non-numeric, trailing garbage, a sign,
+ * inf/nan, an overflowing budget) fails fast with exit 2. */
+inline double
+parseNicCacheMB(const std::string &value,
+                const net::DatapathParams &datapath)
+{
+    char *end = nullptr;
+    const double mb = std::strtod(value.c_str(), &end);
+    if (value.empty() || *end != '\0' || !std::isfinite(mb) ||
+        mb < 0.0 ||
+        datapath.nicCacheEntriesFor(mb) >
+            std::numeric_limits<unsigned>::max()) {
+        std::fprintf(stderr,
+                     "invalid --nic-cache-mb value '%s'; see --help\n",
+                     value.c_str());
+        std::exit(2);
+    }
+    return mb;
+}
+
 /** Consume the two flags from the Session's leftover argv. */
 inline DatapathFlags
 parseDatapathFlags(int &argc, char **argv)
@@ -98,9 +121,8 @@ parseDatapathFlags(int &argc, char **argv)
                 std::exit(2);
             }
         } else if (arg.rfind("--nic-cache-mb=", 0) == 0) {
-            flags.nicCacheMB = std::strtod(arg.c_str() + 15, nullptr);
-            if (flags.nicCacheMB < 0.0)
-                flags.nicCacheMB = 0.0;
+            flags.nicCacheMB =
+                parseNicCacheMB(arg.substr(15), flags.datapath);
         } else {
             argv[out++] = argv[i];
             continue;

@@ -21,18 +21,16 @@
 #      (tools/perfguard.py, which fails when that baseline is
 #      missing; wall-clock fields stay advisory);
 #   6. the static-analysis label (`ctest -L lint`): the mercury_lint
-#      fixture goldens for both engines, the repo-clean check, the
-#      suppression budget, and the clang thread-safety negative
-#      compile (clang-only checks report as skipped without clang);
+#      fixture goldens, the repo-clean check, the suppression
+#      budget, and the clang thread-safety negative compile
+#      (reported as skipped without clang);
 #   7. a clang -Wthread-safety -Werror build of the whole tree via
 #      the clang-tsa preset (skipped when clang++ is not installed);
 #   8. clang-tidy over src/ against the asan-ubsan compile database
 #      (a hard failure when installed; skipped with a warning when
 #      not -- the CI image may not ship it);
 #   9. the project-specific lint rules in tools/lint/mercury_lint.py
-#      over src/ and bench/ (AST engine against the asan-ubsan
-#      compile database when libclang is importable, the regex
-#      fallback otherwise), plus the waiver-budget ratchet.
+#      over src/ and bench/, plus the waiver-budget ratchet.
 #
 # The golden observability suite (`ctest -L golden`) runs inside both
 # the asan-ubsan ctest pass and an explicit release-preset stage, so a
@@ -233,7 +231,7 @@ if [ -d build/release ]; then
     fi
 else
     echo "build/release missing; running the fixture harness directly"
-    if ! python3 tests/lint/run_lint_fixtures.py regex; then
+    if ! python3 tests/lint/run_lint_fixtures.py; then
         echo "check.sh: lint fixture goldens failed" >&2
         exit 1
     fi
@@ -283,11 +281,7 @@ else
 fi
 
 note "mercury lint"
-# The AST engine picks up per-file flags from the asan-ubsan compile
-# database; without libclang the driver falls back to the regex
-# engine and ignores -p.
-if ! python3 tools/lint/mercury_lint.py -p build/asan-ubsan \
-        src bench; then
+if ! python3 tools/lint/mercury_lint.py src bench; then
     failures=$((failures + 1))
 fi
 if ! python3 tools/lint/mercury_lint.py --budget; then

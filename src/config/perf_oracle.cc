@@ -1,8 +1,10 @@
 #include "config/perf_oracle.hh"
 
+#include <limits>
 #include <map>
 #include <tuple>
 
+#include "sim/contract.hh"
 #include "sim/sync.hh"
 #include "sim/thread_annotations.hh"
 
@@ -54,9 +56,12 @@ serverParamsFor(const physical::StackConfig &stack,
     p.datapath = options.datapath;
     if (p.datapath.nicCacheEntries == 0 && stack.nicCacheMB > 0.0) {
         // Size the NIC cache from the stack's SRAM budget.
-        p.datapath.nicCacheEntries = static_cast<unsigned>(
-            stack.nicCacheMB * static_cast<double>(miB) /
-            static_cast<double>(p.datapath.nicCacheEntryBytes));
+        const double entries =
+            p.datapath.nicCacheEntriesFor(stack.nicCacheMB);
+        MERCURY_EXPECTS(entries <= std::numeric_limits<unsigned>::max(),
+                        "NIC-cache budget of ", stack.nicCacheMB,
+                        " MB overflows the entry count");
+        p.datapath.nicCacheEntries = static_cast<unsigned>(entries);
     }
     return p;
 }

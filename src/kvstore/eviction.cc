@@ -224,143 +224,6 @@ BagLru::bagSize(unsigned bag) const
     return bags_[bag].size();
 }
 
-namespace
-{
-
-// Item::bagIndex encoding for SegmentedLru: low 2 bits hold the
-// segment, the top bit is the reference flag.
-constexpr std::uint8_t referencedBit = 0x80;
-
-unsigned
-segmentOf(const Item *item)
-{
-    return item->bagIndex & 0x3;
-}
-
-bool
-referenced(const Item *item)
-{
-    return item->bagIndex & referencedBit;
-}
-
-} // anonymous namespace
-
-SegmentedLru::SegmentedLru(double hot_fraction, double warm_fraction)
-    : hotFraction_(hot_fraction), warmFraction_(warm_fraction)
-{
-    MERCURY_EXPECTS(hot_fraction > 0.0 && warm_fraction > 0.0 &&
-                    hot_fraction + warm_fraction < 1.0,
-                    "segment fractions must leave room for COLD");
-}
-
-void
-SegmentedLru::moveTo(Item *item, unsigned segment, bool to_front)
-{
-    segments_[segmentOf(item)].unlink(item);
-    item->bagIndex = static_cast<std::uint8_t>(
-        segment | (item->bagIndex & referencedBit));
-    if (to_front)
-        segments_[segment].pushFront(item);
-    else
-        segments_[segment].pushBack(item);
-    ++reorders_;
-}
-
-void
-SegmentedLru::onInsert(Item *item, std::uint32_t now)
-{
-    item->lastAccess = now;
-    item->bagIndex = hotSeg;
-    segments_[hotSeg].pushFront(item);
-    ++tracked_;
-    rebalance();
-}
-
-void
-SegmentedLru::onAccess(Item *item, std::uint32_t now)
-{
-    item->lastAccess = now;
-    if (segmentOf(item) == coldSeg) {
-        // A second touch earns a WARM slot.
-        moveTo(item, warmSeg, true);
-        return;
-    }
-    // Common case: just flag the reference; no list update.
-    item->bagIndex |= referencedBit;
-}
-
-void
-SegmentedLru::onRemove(Item *item)
-{
-    segments_[segmentOf(item)].unlink(item);
-    item->bagIndex = 0;
-    MERCURY_ASSERT(tracked_ > 0, "remove from empty policy");
-    --tracked_;
-}
-
-void
-SegmentedLru::rebalance()
-{
-    constexpr unsigned max_moves = 8;
-    unsigned moves = 0;
-
-    auto over = [this](unsigned segment, double fraction) {
-        return static_cast<double>(segments_[segment].size()) >
-               fraction * static_cast<double>(tracked_) + 1.0;
-    };
-
-    while (moves < max_moves && over(hotSeg, hotFraction_)) {
-        Item *tail = segments_[hotSeg].back();
-        if (!tail)
-            break;
-        if (referenced(tail)) {
-            tail->bagIndex &= static_cast<std::uint8_t>(
-                ~referencedBit);
-            moveTo(tail, warmSeg, true);
-        } else {
-            moveTo(tail, coldSeg, true);
-        }
-        ++moves;
-    }
-    while (moves < max_moves && over(warmSeg, warmFraction_)) {
-        Item *tail = segments_[warmSeg].back();
-        if (!tail)
-            break;
-        if (referenced(tail)) {
-            // Second chance within WARM.
-            tail->bagIndex &= static_cast<std::uint8_t>(
-                ~referencedBit);
-            moveTo(tail, warmSeg, true);
-        } else {
-            moveTo(tail, coldSeg, true);
-        }
-        ++moves;
-    }
-}
-
-void
-SegmentedLru::age(std::uint32_t)
-{
-    rebalance();
-}
-
-Item *
-SegmentedLru::victim(std::uint32_t)
-{
-    if (Item *cold = segments_[coldSeg].back())
-        return cold;
-    if (Item *warm = segments_[warmSeg].back())
-        return warm;
-    return segments_[hotSeg].back();
-}
-
-std::size_t
-SegmentedLru::segmentSize(unsigned segment) const
-{
-    MERCURY_EXPECTS(segment < 3, "segment index out of range: ", segment);
-    return segments_[segment].size();
-}
-
 std::unique_ptr<EvictionPolicy>
 makeEvictionPolicy(EvictionPolicyKind kind)
 {
@@ -369,8 +232,6 @@ makeEvictionPolicy(EvictionPolicyKind kind)
         return std::make_unique<StrictLru>();
       case EvictionPolicyKind::Bags:
         return std::make_unique<BagLru>();
-      case EvictionPolicyKind::Segmented:
-        return std::make_unique<SegmentedLru>();
     }
     return nullptr;
 }

@@ -23,7 +23,7 @@
 namespace mercury::kvstore
 {
 
-enum class EvictionPolicyKind { StrictLru, Bags, Segmented };
+enum class EvictionPolicyKind { StrictLru, Bags };
 
 /** Intrusive doubly-linked list over Item::lruPrev/lruNext. */
 class ItemList
@@ -133,48 +133,6 @@ class BagLru : public EvictionPolicy
 
     std::array<ItemList, numBags> bags_;
     std::uint32_t bagAgeSeconds_;
-    std::uint64_t reorders_ = 0;
-};
-
-/**
- * Segmented LRU (memcached 1.5 style): HOT, WARM and COLD segments.
- * New items enter HOT. An access to a COLD item promotes it to WARM
- * (single-touch items never pollute the warm set). Segment sizes are
- * balanced lazily: when HOT or WARM exceed their share of tracked
- * items, tail items demote toward COLD. Eviction takes the COLD
- * tail. Unlike strict LRU, accesses to HOT/WARM items only set a
- * reference bit, so the common-case GET does not reorder any list.
- */
-class SegmentedLru : public EvictionPolicy
-{
-  public:
-    /** @param hot_fraction / @param warm_fraction target shares of
-     * tracked items (the remainder is COLD). */
-    SegmentedLru(double hot_fraction = 0.2,
-                 double warm_fraction = 0.4);
-
-    void onInsert(Item *item, std::uint32_t now) override;
-    void onAccess(Item *item, std::uint32_t now) override;
-    void onRemove(Item *item) override;
-    Item *victim(std::uint32_t now) override;
-    void age(std::uint32_t now) override;
-    std::uint64_t reorderOps() const override { return reorders_; }
-
-    std::size_t segmentSize(unsigned segment) const;
-
-  private:
-    static constexpr unsigned hotSeg = 0;
-    static constexpr unsigned warmSeg = 1;
-    static constexpr unsigned coldSeg = 2;
-
-    /** Move list tails to maintain the target segment shares. */
-    void rebalance();
-
-    void moveTo(Item *item, unsigned segment, bool to_front);
-
-    std::array<ItemList, 3> segments_;
-    double hotFraction_;
-    double warmFraction_;
     std::uint64_t reorders_ = 0;
 };
 

@@ -35,7 +35,7 @@ HashTable::find(std::string_view key, std::uint64_t hash)
     result.bucketAddr = bucket;
     for (Item *it = *bucket; it; it = it->hNext) {
         ++result.chainLength;
-        MERCURY_ASSERT(result.chainLength <= size_,
+        MERCURY_ASSERT(result.chainLength <= size(),
                        "bucket chain longer than the table "
                        "(corrupt chain or cycle)");
         if (it->key() == key) {
@@ -58,7 +58,7 @@ HashTable::insert(Item *item, std::uint64_t hash)
     Item **bucket = bucketFor(hash, index);
     item->hNext = *bucket;
     *bucket = item;
-    ++size_;
+    size_.store(size() + 1, std::memory_order_relaxed);
     maybeExpand();
     if (expanding_)
         migrateStep();
@@ -74,10 +74,10 @@ HashTable::remove(std::string_view key, std::uint64_t hash)
             Item *removed = *link;
             *link = removed->hNext;
             removed->hNext = nullptr;
-            MERCURY_ASSERT(size_ > 0,
+            MERCURY_ASSERT(size() > 0,
                            "remove from a table that thinks it is "
                            "empty");
-            --size_;
+            size_.store(size() - 1, std::memory_order_relaxed);
             if (expanding_)
                 migrateStep();
             return removed;
@@ -156,7 +156,7 @@ HashTable::checkIntegrity() const
         for (const auto &head : table) {
             std::size_t chain = 0;
             for (Item *it = head; it; it = it->hNext) {
-                if (++chain > size_ + 1)
+                if (++chain > size() + 1)
                     return false;
                 ++linked;
             }
@@ -165,14 +165,14 @@ HashTable::checkIntegrity() const
     };
     if (!walk(primary_) || !walk(old_))
         return false;
-    return linked == size_;
+    return linked == size();
 }
 
 void
 HashTable::validate() const
 {
     MERCURY_ASSERT(checkIntegrity(),
-                   "hash table structural audit failed: size=", size_,
+                   "hash table structural audit failed: size=", size(),
                    " buckets=", primary_.size(),
                    " expanding=", expanding_);
 }

@@ -11,6 +11,7 @@
 #ifndef MERCURY_KVSTORE_HASH_TABLE_HH
 #define MERCURY_KVSTORE_HASH_TABLE_HH
 
+#include <atomic>
 #include <cstdint>
 #include <string_view>
 #include <vector>
@@ -54,7 +55,11 @@ class HashTable
     Item *remove(std::string_view key, std::uint64_t hash);
 
     /** Items currently linked. */
-    std::size_t size() const { return size_; }
+    std::size_t
+    size() const
+    {
+        return size_.load(std::memory_order_relaxed);
+    }
 
     std::size_t buckets() const { return primary_.size(); }
 
@@ -64,7 +69,7 @@ class HashTable
     double
     loadFactor() const
     {
-        return static_cast<double>(size_) /
+        return static_cast<double>(size()) /
                static_cast<double>(primary_.size());
     }
 
@@ -116,7 +121,12 @@ class HashTable
     bool expanding_ = false;
     /** Next old-table bucket to migrate. */
     std::size_t migrateBucket_ = 0;
-    std::size_t size_ = 0;
+    /** Linked items. Mutations are serialized by the caller, but a
+     * striped GET reads the count (find's chain-length bound) while
+     * another stripe's SET or DELETE changes it; relaxed atomic
+     * loads and stores make that read race-free at the cost of
+     * plain moves. */
+    std::atomic<std::size_t> size_{0};
 };
 
 } // namespace mercury::kvstore

@@ -35,9 +35,6 @@ Store::Store(const StoreParams &params)
             policies_.push_back(
                 std::make_unique<BagLru>(params_.bagAgeSeconds));
             break;
-          case EvictionPolicyKind::Segmented:
-            policies_.push_back(std::make_unique<SegmentedLru>());
-            break;
           default:
             policies_.push_back(std::make_unique<StrictLru>());
             break;

@@ -6,8 +6,8 @@
  * header: request id (16b), sequence number (16b), datagram count
  * (16b) and a reserved field (16b). Large responses are split across
  * datagrams; the client reassembles by (request id, sequence). This
- * is the transport Facebook used for GETs, and the one the
- * ServerModel's udpGets mode represents.
+ * is the transport Facebook used for GETs, and the one
+ * net::DatapathKind::KernelUdp represents.
  */
 
 #ifndef MERCURY_KVSTORE_UDP_FRAME_HH

@@ -1,12 +1,17 @@
 /**
  * @file
- * Kernel-bypass datapath model: poll-mode UDP fast path with RX/TX
- * descriptor batching, RSS flow steering, and a LaKe-style on-NIC
- * GET cache.
+ * Datapath model: which request path the server walks (kernel TCP,
+ * kernel UDP GETs, or a kernel-bypass poll-mode UDP fast path with
+ * RX/TX descriptor batching), RSS flow steering, and a LaKe-style
+ * on-NIC GET cache.
  *
  * The paper's Fig. 4 charges 87-97 % of a small GET to the Linux
- * network stack. This module models the three standard ways that
- * time is bought back:
+ * network stack. This module models the standard ways that time is
+ * bought back:
+ *
+ *  - DatapathKind::KernelUdp serves GETs over kernel UDP: no
+ *    connection state, lighter per-packet work (udp* fields of
+ *    server::Calibration). PUTs stay on kernel TCP.
  *
  *  - DatapathKind::Bypass swaps the per-packet kernel path for a
  *    user-level poll-mode driver (DPDK-style): no syscalls, no
@@ -52,8 +57,9 @@ namespace mercury::net
 /** Which request path the server's CPU model walks. */
 enum class DatapathKind : std::uint8_t
 {
-    Kernel, ///< Linux TCP (or udpGets) path, as calibrated for Fig. 4
-    Bypass, ///< user-level poll-mode driver, batched descriptors
+    Kernel,    ///< Linux TCP path, as calibrated for Fig. 4
+    KernelUdp, ///< Linux UDP GETs (Facebook-style); PUTs stay on TCP
+    Bypass,    ///< user-level poll-mode driver, batched descriptors
 };
 
 /** Static configuration of a node's datapath. All defaults off. */
@@ -98,6 +104,15 @@ struct DatapathParams
     nicCacheEnabled() const
     {
         return nicCacheEntries > 0;
+    }
+
+    /** Cache entries an SRAM budget of @p mb holds, before the
+     * truncation to nicCacheEntries (callers check that it fits). */
+    double
+    nicCacheEntriesFor(double mb) const
+    {
+        return mb * static_cast<double>(miB) /
+               static_cast<double>(nicCacheEntryBytes);
     }
 };
 

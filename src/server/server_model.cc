@@ -179,14 +179,6 @@ ServerModel::ServerModel(const ServerModelParams &params,
             params_.datapath, &stats_);
 }
 
-ServerModel::PathKind
-ServerModel::getPath() const
-{
-    if (params_.datapath.bypass())
-        return PathKind::Bypass;
-    return params_.udpGets ? PathKind::Udp : PathKind::Tcp;
-}
-
 unsigned
 ServerModel::ourChannel() const
 {
@@ -350,71 +342,65 @@ ServerModel::mutableMetaAddr(Addr line)
                                     (map_.scratchSize() / 2);
 }
 
-void
-ServerModel::buildRxPhase(cpu::OpTrace &trace,
-                          std::uint64_t payload_bytes,
-                          unsigned packets, PathKind path)
+ServerModel::StackCosts
+ServerModel::stackCosts(net::DatapathKind kind, Direction dir) const
 {
     const Calibration &cal = params_.cal;
-    cpu::TraceBuilder b(trace);
-    const bool udp = path == PathKind::Udp;
-
-    if (path == PathKind::Bypass) {
+    const bool rx = dir == Direction::Rx;
+    switch (kind) {
+    case net::DatapathKind::KernelUdp:
+        // UDP skips connection management and ACK bookkeeping.
+        return {cal.netstackRequestPathBytes,
+                cal.udpInstrPerRequest / 2,
+                cal.udpSockStateLoads,
+                cal.udpSockStateStores,
+                rx ? cal.udpRxPathBytes : cal.udpTxPathBytes,
+                rx ? cal.udpInstrPerRxPacket : cal.udpInstrPerTxPacket};
+    case net::DatapathKind::Bypass: {
         // Poll-mode user-level path: no syscalls, no socket state;
         // the request parses straight out of the DMA ring. Doorbell
         // and ring-refill costs are charged per batch and amortized
-        // over rxBatch packets (the closed-loop walk serves one
+        // over the batch depth (the closed-loop walk serves one
         // request at a time, so the amortized share is charged
         // deterministically instead of sampling queue occupancy).
-        const unsigned batch =
-            std::max(1u, params_.datapath.rxBatch);
-        b.codePass(map_.netstackCode() + 64 * kiB,
-                   cal.bypassRequestPathBytes,
-                   cal.bypassInstrPerRequest / 2);
-        // Descriptor-ring tail update (the bypass path's only
-        // mutable shared state; the sock region stands in for the
-        // ring memory).
-        for (unsigned s = 0; s < cal.bypassRingStoresPerBatch; ++s)
-            b.randomStore(mutableMetaAddr(randomSockLine()));
-        const std::uint64_t per_packet =
-            packets ? payload_bytes / packets : 0;
-        for (unsigned p = 0; p < packets; ++p) {
-            b.codePass(map_.netstackCode(), cal.bypassRxPathBytes,
-                       cal.bypassInstrPerRxPacket +
-                           cal.bypassInstrPerRxBatch / batch);
-            const std::uint64_t lines = linesOf(per_packet + 64);
-            b.streamRead(map_.bufferAddr(p * 2048),
-                         (per_packet + 64));
-            b.compute(lines * cal.copyInstrPerLine);
-        }
-        return;
+        const unsigned batch = std::max(
+            1u, rx ? params_.datapath.rxBatch : params_.datapath.txBatch);
+        return {cal.bypassRequestPathBytes,
+                cal.bypassInstrPerRequest / 2,
+                0,
+                cal.bypassRingStoresPerBatch,
+                rx ? cal.bypassRxPathBytes : cal.bypassTxPathBytes,
+                rx ? cal.bypassInstrPerRxPacket +
+                         cal.bypassInstrPerRxBatch / batch
+                   : cal.bypassInstrPerTxPacket +
+                         cal.bypassInstrPerTxBatch / batch};
     }
+    case net::DatapathKind::Kernel:
+        break;
+    }
+    return {cal.netstackRequestPathBytes,
+            cal.netstackInstrPerRequest / 2,
+            rx ? cal.sockStateLoadsRx : cal.sockStateLoadsTx,
+            rx ? cal.sockStateStoresRx : cal.sockStateStoresTx,
+            rx ? cal.netstackRxPathBytes : cal.netstackTxPathBytes,
+            rx ? cal.netstackInstrPerRxPacket
+               : cal.netstackInstrPerTxPacket};
+}
 
-    // Socket-layer fixed path (half charged on receive). The UDP
-    // path skips connection management and ACK bookkeeping.
-    b.codePass(map_.netstackCode() + 64 * kiB,
-               cal.netstackRequestPathBytes,
-               (udp ? cal.udpInstrPerRequest
-                    : cal.netstackInstrPerRequest) / 2);
-
-    // Connection/socket state touched on the receive path.
-    const unsigned loads =
-        udp ? cal.udpSockStateLoads : cal.sockStateLoadsRx;
-    const unsigned stores =
-        udp ? cal.udpSockStateStores : cal.sockStateStoresRx;
-    for (unsigned i = 0; i < loads; ++i)
-        b.chaseLoad(randomSockLine());
-    for (unsigned i = 0; i < stores; ++i)
-        b.randomStore(mutableMetaAddr(randomSockLine()));
+void
+ServerModel::buildRxPhase(cpu::OpTrace &trace,
+                          std::uint64_t payload_bytes,
+                          unsigned packets, net::DatapathKind kind)
+{
+    const Calibration &cal = params_.cal;
+    const StackCosts c = stackCosts(kind, Direction::Rx);
+    cpu::TraceBuilder b(trace);
+    walkStackState(b, c);
 
     const std::uint64_t per_packet =
         packets ? payload_bytes / packets : 0;
     for (unsigned p = 0; p < packets; ++p) {
-        b.codePass(map_.netstackCode(),
-                   udp ? cal.udpRxPathBytes
-                       : cal.netstackRxPathBytes,
-                   udp ? cal.udpInstrPerRxPacket
-                       : cal.netstackInstrPerRxPacket);
+        b.codePass(map_.netstackCode(), c.packetBytes, c.packetInstr);
         // The NIC has DMAed the packet into the buffer ring; the
         // stack reads it (header inspection + copy to socket).
         const std::uint64_t lines = linesOf(per_packet + 64);
@@ -425,48 +411,30 @@ ServerModel::buildRxPhase(cpu::OpTrace &trace,
 
 void
 ServerModel::buildTxCodePhase(cpu::OpTrace &trace, unsigned packets,
-                              PathKind path)
+                              net::DatapathKind kind)
 {
-    const Calibration &cal = params_.cal;
+    const StackCosts c = stackCosts(kind, Direction::Tx);
     cpu::TraceBuilder b(trace);
-    const bool udp = path == PathKind::Udp;
-
-    if (path == PathKind::Bypass) {
-        const unsigned batch =
-            std::max(1u, params_.datapath.txBatch);
-        b.codePass(map_.netstackCode() + 64 * kiB,
-                   cal.bypassRequestPathBytes,
-                   cal.bypassInstrPerRequest / 2);
-        for (unsigned s = 0; s < cal.bypassRingStoresPerBatch; ++s)
-            b.randomStore(mutableMetaAddr(randomSockLine()));
-        for (unsigned p = 0; p < packets; ++p) {
-            b.codePass(map_.netstackCode() + 32 * kiB,
-                       cal.bypassTxPathBytes,
-                       cal.bypassInstrPerTxPacket +
-                           cal.bypassInstrPerTxBatch / batch);
-        }
-        return;
-    }
-
-    b.codePass(map_.netstackCode() + 64 * kiB,
-               cal.netstackRequestPathBytes,
-               (udp ? cal.udpInstrPerRequest
-                    : cal.netstackInstrPerRequest) / 2);
-    const unsigned loads =
-        udp ? cal.udpSockStateLoads : cal.sockStateLoadsTx;
-    const unsigned stores =
-        udp ? cal.udpSockStateStores : cal.sockStateStoresTx;
-    for (unsigned i = 0; i < loads; ++i)
-        b.chaseLoad(randomSockLine());
-    for (unsigned i = 0; i < stores; ++i)
-        b.randomStore(mutableMetaAddr(randomSockLine()));
+    walkStackState(b, c);
     for (unsigned p = 0; p < packets; ++p) {
-        b.codePass(map_.netstackCode() + 32 * kiB,
-                   udp ? cal.udpTxPathBytes
-                       : cal.netstackTxPathBytes,
-                   udp ? cal.udpInstrPerTxPacket
-                       : cal.netstackInstrPerTxPacket);
+        b.codePass(map_.netstackCode() + 32 * kiB, c.packetBytes,
+                   c.packetInstr);
     }
+}
+
+void
+ServerModel::walkStackState(cpu::TraceBuilder &b, const StackCosts &c)
+{
+    // Fixed request path (half charged in each direction), then the
+    // connection/socket state it touches. The bypass path has no
+    // socket state: its only mutable shared state is the descriptor
+    // ring tail (the sock region stands in for the ring memory).
+    b.codePass(map_.netstackCode() + 64 * kiB, c.requestBytes,
+               c.requestInstr);
+    for (unsigned i = 0; i < c.loads; ++i)
+        b.chaseLoad(randomSockLine());
+    for (unsigned i = 0; i < c.stores; ++i)
+        b.randomStore(mutableMetaAddr(randomSockLine()));
 }
 
 void
@@ -566,7 +534,8 @@ RequestTiming
 ServerModel::get(const std::string &key)
 {
     const Calibration &cal = params_.cal;
-    const PathKind path = getPath();
+    const net::DatapathKind path = params_.datapath.kind;
+    const bool bypass = params_.datapath.bypass();
     const Tick t0 = cursor_;
 
     std::uint32_t traceReq = 0;
@@ -575,8 +544,11 @@ ServerModel::get(const std::string &key)
 
     const std::uint64_t req_payload =
         key.size() + cal.getRequestOverheadBytes;
+    // Only the bypass path frames GETs as memcached UDP datagrams on
+    // the wire; KernelUdp changes the CPU costs but keeps the TCP
+    // wire framing (a known approximation, DESIGN.md section 13).
     const auto arrival =
-        path == PathKind::Bypass
+        bypass
             ? c2s_->deliverDatagrams(
                   req_payload, t0,
                   static_cast<unsigned>(
@@ -671,7 +643,7 @@ ServerModel::get(const std::string &key)
         Tick begin = cursor_;
         cpu::OpTrace trace;
         const unsigned packets =
-            path == PathKind::Bypass
+            bypass
                 ? static_cast<unsigned>(
                       kvstore::udpDatagramCount(resp_payload))
                 : s2c_->segmenter().numSegments(resp_payload);
@@ -688,7 +660,7 @@ ServerModel::get(const std::string &key)
     }
 
     const auto response =
-        path == PathKind::Bypass
+        bypass
             ? s2c_->deliverDatagrams(
                   resp_payload, cursor_,
                   static_cast<unsigned>(
@@ -723,12 +695,12 @@ RequestTiming
 ServerModel::put(const std::string &key, std::uint32_t value_bytes)
 {
     const Calibration &cal = params_.cal;
-    // PUTs keep TCP framing on the wire (reliable transport); in
-    // bypass mode the CPU walks the user-level stack (mTCP-style)
-    // instead of the kernel path.
-    const PathKind path = params_.datapath.bypass()
-                              ? PathKind::Bypass
-                              : PathKind::Tcp;
+    // PUTs keep TCP framing on the wire (reliable transport) and,
+    // under KernelUdp, the kernel TCP path; in bypass mode the CPU
+    // walks the user-level stack (mTCP-style) instead.
+    const net::DatapathKind path = params_.datapath.bypass()
+                                       ? net::DatapathKind::Bypass
+                                       : net::DatapathKind::Kernel;
     const Tick t0 = cursor_;
 
     std::uint32_t traceReq = 0;

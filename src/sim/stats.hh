@@ -3,7 +3,7 @@
  * Hierarchical statistics registry.
  *
  * Components own typed statistics (Counter, Scalar, Average,
- * TickAverage, Histogram, LatencyHistogram, Formula) that register
+ * TickAverage, LatencyHistogram, Formula) that register
  * themselves with a StatGroup. Groups nest into a tree rooted at a
  * Registry; the tree can be formatted gem5 stats.txt style, dumped
  * as one flat deterministic JSON object (the golden-trace suite
@@ -173,63 +173,6 @@ class TickAverage : public StatBase
   private:
     double _weighted = 0.0;
     Tick _ticks = 0;
-};
-
-/**
- * A bucketed sample distribution.
- *
- * Buckets are either linear over [min, max) or logarithmic (powers of
- * two starting at 1). Percentiles are estimated by linear
- * interpolation within the containing bucket, which is plenty for
- * latency-SLA style reporting. For exact quantiles over integer tick
- * values, use LatencyHistogram instead.
- */
-class Histogram : public StatBase
-{
-  public:
-    enum class Scale { Linear, Log2 };
-
-    /**
-     * @param buckets number of buckets (excluding underflow/overflow)
-     * @param lo lowest representable sample (linear scale)
-     * @param hi highest representable sample (linear scale)
-     */
-    Histogram(StatGroup *parent, std::string name, std::string desc,
-              Scale scale = Scale::Log2, std::size_t buckets = 48,
-              double lo = 0.0, double hi = 1.0);
-
-    void sample(double value, std::uint64_t weight = 1);
-
-    std::uint64_t count() const { return _count; }
-    double sum() const { return _sum; }
-    double mean() const { return _count ? _sum / _count : 0.0; }
-    double minValue() const { return _min; }
-    double maxValue() const { return _max; }
-
-    /** Estimated p-quantile (p in [0,1]). */
-    double percentile(double p) const;
-
-    /** Fraction of samples with value <= threshold. */
-    double fractionBelow(double threshold) const;
-
-    void format(std::ostream &os, const std::string &prefix) const override;
-    void formatJson(std::string &out, const std::string &prefix,
-                    bool &first) const override;
-    void reset() override;
-
-  private:
-    std::size_t bucketFor(double value) const;
-    double bucketLow(std::size_t index) const;
-    double bucketHigh(std::size_t index) const;
-
-    Scale scale_;
-    double lo_;
-    double hi_;
-    std::vector<std::uint64_t> buckets_;
-    std::uint64_t _count = 0;
-    double _sum = 0.0;
-    double _min = std::numeric_limits<double>::infinity();
-    double _max = -std::numeric_limits<double>::infinity();
 };
 
 /**

@@ -7,15 +7,24 @@
 #   --shards=4 (removed)                exit 2, "unknown flag"
 #   --smoke --jobs=0 (all hw threads)   exit 0
 #
-# Usage: run_cli_rejection.sh BENCH_BINARY
+# With --datapath-flags the bench must also declare --nic-cache-mb
+# (bench/datapath_flags.hh), and these must be rejected the same way:
+#
+#   --nic-cache-mb=abc / 1x / "" / -5 / inf / nan / 1e12
+#                                       exit 2, "invalid --nic-cache-mb value"
+#   --smoke --jobs=0 --nic-cache-mb=0.5 exit 0
+#
+# Usage: run_cli_rejection.sh BENCH_BINARY [--datapath-flags]
 set -uo pipefail
 
-if [ $# -ne 1 ]; then
-    echo "usage: $0 BENCH_BINARY" >&2
+if [ $# -lt 1 ] || [ $# -gt 2 ] ||
+       { [ $# -eq 2 ] && [ "$2" != "--datapath-flags" ]; }; then
+    echo "usage: $0 BENCH_BINARY [--datapath-flags]" >&2
     exit 2
 fi
 
 bin=$1
+datapath_flags=${2:-}
 tmpdir=$(mktemp -d)
 trap 'rm -rf "$tmpdir"' EXIT
 
@@ -42,14 +51,30 @@ for value in abc 2x -3 99999999999; do
 done
 expect_reject "--shards=4" "unknown flag '--shards'"
 
-rc=0
-"$bin" --smoke --jobs=0 > "$tmpdir/out" 2> "$tmpdir/err" || rc=$?
-if [ "$rc" -ne 0 ]; then
-    echo "FAIL: --smoke --jobs=0 exited $rc, expected 0" >&2
-    cat "$tmpdir/err" >&2
-    failures=$((failures + 1))
-else
-    echo "ok: --smoke --jobs=0 -> exit 0"
+if [ -n "$datapath_flags" ]; then
+    # 1e12 MB is finite but its entry count overflows an unsigned.
+    for value in abc 1x "" -5 inf nan 1e12; do
+        expect_reject "--nic-cache-mb=$value" \
+            "invalid --nic-cache-mb value '$value'"
+    done
+fi
+
+# expect_ok FLAG...: the bench runs to completion.
+expect_ok() {
+    local rc=0
+    "$bin" "$@" > "$tmpdir/out" 2> "$tmpdir/err" || rc=$?
+    if [ "$rc" -ne 0 ]; then
+        echo "FAIL: $* exited $rc, expected 0" >&2
+        cat "$tmpdir/err" >&2
+        failures=$((failures + 1))
+    else
+        echo "ok: $* -> exit 0"
+    fi
+}
+
+expect_ok --smoke --jobs=0
+if [ -n "$datapath_flags" ]; then
+    expect_ok --smoke --jobs=0 --nic-cache-mb=0.5
 fi
 
 if [ "$failures" -ne 0 ]; then

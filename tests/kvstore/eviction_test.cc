@@ -195,103 +195,4 @@ TEST(EvictionFactory, MakesRequestedPolicy)
     EXPECT_NE(dynamic_cast<BagLru *>(bags.get()), nullptr);
 }
 
-
-using SegmentedLruTest = EvictionFixture;
-
-TEST_F(SegmentedLruTest, NewItemsEnterHot)
-{
-    SegmentedLru slru;
-    Item *a = makeItem("a");
-    slru.onInsert(a, 0);
-    EXPECT_EQ(slru.segmentSize(0), 1u);
-    EXPECT_EQ(slru.segmentSize(1), 0u);
-    EXPECT_EQ(slru.segmentSize(2), 0u);
-}
-
-TEST_F(SegmentedLruTest, HotAccessOnlySetsReferenceBit)
-{
-    SegmentedLru slru;
-    Item *a = makeItem("a");
-    slru.onInsert(a, 0);
-    const std::uint64_t before = slru.reorderOps();
-    for (int i = 0; i < 100; ++i)
-        slru.onAccess(a, static_cast<std::uint32_t>(i));
-    EXPECT_EQ(slru.reorderOps(), before)
-        << "hot-item GETs must not reorder lists";
-}
-
-TEST_F(SegmentedLruTest, OverfullHotDemotesToCold)
-{
-    SegmentedLru slru(0.2, 0.4);
-    std::vector<Item *> items;
-    for (int i = 0; i < 50; ++i) {
-        items.push_back(makeItem("k" + std::to_string(i)));
-        slru.onInsert(items.back(), 0);
-    }
-    // Hot should be bounded near 20% of 50.
-    EXPECT_LE(slru.segmentSize(0), 15u);
-    EXPECT_GT(slru.segmentSize(2), 20u);
-}
-
-TEST_F(SegmentedLruTest, SecondTouchPromotesColdToWarm)
-{
-    SegmentedLru slru(0.2, 0.4);
-    std::vector<Item *> items;
-    for (int i = 0; i < 50; ++i) {
-        items.push_back(makeItem("k" + std::to_string(i)));
-        slru.onInsert(items.back(), 0);
-    }
-    // The earliest items have been demoted to cold by now.
-    Item *cold = slru.victim(1);
-    ASSERT_NE(cold, nullptr);
-    const std::size_t warm_before = slru.segmentSize(1);
-    slru.onAccess(cold, 1);
-    EXPECT_EQ(slru.segmentSize(1), warm_before + 1);
-    EXPECT_NE(slru.victim(1), cold);
-}
-
-TEST_F(SegmentedLruTest, VictimComesFromColdFirst)
-{
-    SegmentedLru slru;
-    Item *a = makeItem("a");
-    slru.onInsert(a, 0);
-    // Only a hot item exists: it is still evictable as last resort.
-    EXPECT_EQ(slru.victim(0), a);
-}
-
-TEST_F(SegmentedLruTest, ReferencedItemsSurviveOneDemotionRound)
-{
-    SegmentedLru slru(0.2, 0.4);
-    Item *precious = makeItem("precious");
-    slru.onInsert(precious, 0);
-    slru.onAccess(precious, 1);  // referenced while hot
-
-    for (int i = 0; i < 60; ++i)
-        slru.onInsert(makeItem("f" + std::to_string(i)), 2);
-
-    // The referenced item was demoted to WARM (second chance), not
-    // straight to COLD.
-    EXPECT_NE(slru.victim(3), precious);
-}
-
-TEST_F(SegmentedLruTest, RemoveWorksFromAnySegment)
-{
-    SegmentedLru slru(0.2, 0.4);
-    std::vector<Item *> items;
-    for (int i = 0; i < 30; ++i) {
-        items.push_back(makeItem("k" + std::to_string(i)));
-        slru.onInsert(items.back(), 0);
-    }
-    for (Item *item : items)
-        slru.onRemove(item);
-    EXPECT_EQ(slru.trackedItems(), 0u);
-    EXPECT_EQ(slru.victim(0), nullptr);
-}
-
-TEST(EvictionFactorySegmented, MakesSegmented)
-{
-    auto policy = makeEvictionPolicy(EvictionPolicyKind::Segmented);
-    EXPECT_NE(dynamic_cast<SegmentedLru *>(policy.get()), nullptr);
-}
-
 } // anonymous namespace

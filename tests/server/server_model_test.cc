@@ -6,7 +6,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdlib>
 #include <memory>
+#include <string>
 
 #include "server/server_model.hh"
 
@@ -263,6 +265,62 @@ TEST(ServerModel, DatapathDefaultsOffExactly)
     const RequestTiming t = server.get("v64:1");
     EXPECT_EQ(t.breakdown.nicCache, 0u);
     EXPECT_EQ(t.breakdown.total(), t.rtt);
+}
+
+/** Instructions the core of a node named "server" has retired so
+ * far, read from the flat stats JSON of its registry (the core's
+ * group name contains a dot, so StatGroup::find cannot reach it). */
+std::uint64_t
+instructionsRetired(const stats::Registry &registry)
+{
+    std::string json;
+    registry.writeJson(json);
+    const std::string key = "\"sim.server.core.instructions\":";
+    const std::size_t at = json.find(key);
+    EXPECT_NE(at, std::string::npos) << json;
+    if (at == std::string::npos)
+        return 0;
+    return std::strtoull(json.c_str() + at + key.size(), nullptr, 10);
+}
+
+TEST(ServerModel, KernelUdpLightensGetsAndLeavesPutsOnTcp)
+{
+    stats::Registry tcp_stats, udp_stats;
+    ServerModelParams tcp =
+        mercuryParams(cpu::cortexA15Params(1.0), true);
+    ServerModelParams udp = tcp;
+    tcp.statsParent = &tcp_stats;
+    udp.statsParent = &udp_stats;
+    udp.datapath.kind = net::DatapathKind::KernelUdp;
+
+    ServerModel a(tcp), b(udp);
+    a.populate(10, 64);
+    b.populate(10, 64);
+
+    // PUTs stay on the kernel TCP path: same trace, same RNG draws,
+    // so the whole timing matches.
+    const RequestTiming pa = a.put("v64:3", 64);
+    const RequestTiming pb = b.put("v64:3", 64);
+    EXPECT_EQ(pa.rtt, pb.rtt);
+    EXPECT_EQ(pa.breakdown.wire, pb.breakdown.wire);
+    EXPECT_EQ(pa.breakdown.netstack, pb.breakdown.netstack);
+    EXPECT_EQ(pa.breakdown.hash, pb.breakdown.hash);
+    EXPECT_EQ(pa.breakdown.memcached, pb.breakdown.memcached);
+    EXPECT_EQ(pa.breakdown.nicCache, pb.breakdown.nicCache);
+    EXPECT_EQ(pa.hit, pb.hit);
+    ASSERT_EQ(instructionsRetired(tcp_stats),
+              instructionsRetired(udp_stats));
+
+    // A 64 B GET over kernel UDP does less kernel work per request
+    // and per packet than over TCP.
+    const std::uint64_t before = instructionsRetired(tcp_stats);
+    const RequestTiming ga = a.get("v64:1");
+    const RequestTiming gb = b.get("v64:1");
+    EXPECT_TRUE(ga.hit);
+    EXPECT_TRUE(gb.hit);
+    EXPECT_LT(instructionsRetired(udp_stats) - before,
+              instructionsRetired(tcp_stats) - before);
+    EXPECT_LT(gb.rtt, ga.rtt);
 }
 
 TEST(ServerModel, BypassCutsTheKernelShare)

@@ -55,73 +55,6 @@ TEST(AverageStat, EmptyMeanIsZero)
     EXPECT_DOUBLE_EQ(a.mean(), 0.0);
 }
 
-TEST(HistogramStat, CountsAndMoments)
-{
-    StatGroup group("g");
-    Histogram h(&group, "h", "histogram");
-    for (int i = 1; i <= 100; ++i)
-        h.sample(static_cast<double>(i));
-    EXPECT_EQ(h.count(), 100u);
-    EXPECT_DOUBLE_EQ(h.mean(), 50.5);
-    EXPECT_DOUBLE_EQ(h.minValue(), 1.0);
-    EXPECT_DOUBLE_EQ(h.maxValue(), 100.0);
-}
-
-TEST(HistogramStat, PercentileRoughlyCorrect)
-{
-    StatGroup group("g");
-    Histogram h(&group, "h", "histogram");
-    for (int i = 1; i <= 1000; ++i)
-        h.sample(static_cast<double>(i));
-    // Log2 buckets are coarse; allow one bucket of slack.
-    EXPECT_NEAR(h.percentile(0.5), 500.0, 260.0);
-    EXPECT_GE(h.percentile(0.99), h.percentile(0.5));
-    EXPECT_LE(h.percentile(1.0), 1000.0);
-}
-
-TEST(HistogramStat, LinearScalePercentileIsTight)
-{
-    StatGroup group("g");
-    Histogram h(&group, "h", "histogram", Histogram::Scale::Linear,
-                1000, 0.0, 1000.0);
-    for (int i = 1; i <= 1000; ++i)
-        h.sample(static_cast<double>(i));
-    EXPECT_NEAR(h.percentile(0.5), 500.0, 2.0);
-    EXPECT_NEAR(h.percentile(0.95), 950.0, 2.0);
-}
-
-TEST(HistogramStat, FractionBelowThreshold)
-{
-    StatGroup group("g");
-    Histogram h(&group, "h", "histogram", Histogram::Scale::Linear,
-                100, 0.0, 100.0);
-    for (int i = 0; i < 100; ++i)
-        h.sample(static_cast<double>(i) + 0.5);
-    EXPECT_NEAR(h.fractionBelow(50.0), 0.5, 0.02);
-    EXPECT_NEAR(h.fractionBelow(100.0), 1.0, 0.001);
-    EXPECT_DOUBLE_EQ(h.fractionBelow(0.0), 0.0);
-}
-
-TEST(HistogramStat, WeightedSamples)
-{
-    StatGroup group("g");
-    Histogram h(&group, "h", "histogram");
-    h.sample(4.0, 10);
-    EXPECT_EQ(h.count(), 10u);
-    EXPECT_DOUBLE_EQ(h.mean(), 4.0);
-}
-
-TEST(HistogramStat, ResetClearsEverything)
-{
-    StatGroup group("g");
-    Histogram h(&group, "h", "histogram");
-    h.sample(5.0);
-    h.reset();
-    EXPECT_EQ(h.count(), 0u);
-    EXPECT_DOUBLE_EQ(h.mean(), 0.0);
-    EXPECT_DOUBLE_EQ(h.percentile(0.5), 0.0);
-}
-
 TEST(StatGroup, FormatIncludesHierarchy)
 {
     StatGroup root("server");

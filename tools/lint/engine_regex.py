@@ -1,16 +1,14 @@
-"""Regex fallback engine for mercury_lint.
+"""Rule engine for mercury_lint.
 
-Runs everywhere Python runs: no libclang required. The v2 rewrite
+Runs everywhere Python runs: no compiler or libclang required. The v2
+rewrite
 keeps this engine lexically honest -- every structural pattern is
 matched against SourceText's masked views (comments and string
 contents blanked), which kills the v1 false-positive classes where a
 comment or log string mentioning `rand()` or `uint64_t tick` tripped
 a rule. It is still scope-insensitive by design: a false positive is
 an invitation to rename, and `// lint: allow(<rule>)` exists.
-
-The AST engine (engine_ast.py) implements the same rules on real
-clang ASTs; tests/lint pins both engines to the same verdicts on the
-fixture corpus.
+tests/lint pins every rule's verdicts on the fixture corpus.
 """
 
 import re
@@ -50,8 +48,8 @@ TELEMETRY_CALL_RE = re.compile(
 
 # --- wall-clock -----------------------------------------------------
 
-# Bare `clock()` is deliberately absent: only the AST engine can
-# tell host ::clock() from a member function named clock (e.g. the
+# Bare `clock()` is deliberately absent: text matching cannot tell
+# host ::clock() from a member function named clock (e.g. the
 # store's simulated-seconds accessor).
 WALL_CLOCK_RE = re.compile(
     r"\bstd::chrono::(?:steady_clock|system_clock|"

@@ -1,12 +1,11 @@
 """Rule catalog and shared source-text machinery for mercury_lint.
 
-Both engines (engine_ast on libclang, engine_regex on masked text)
-emit the same Finding tuples against the same rule names, and the
-driver applies `// lint: allow(<rule>)` suppression uniformly, so a
-fixture's expected diagnostics are engine-independent.
+The engine (engine_regex, on masked text) emits Finding tuples
+against these rule names, and the driver applies
+`// lint: allow(<rule>)` suppression uniformly.
 
 The SourceText class is the part that kills the v1 regex engine's
-known false-positive classes even without libclang: it builds masked
+known false-positive classes: it builds masked
 views of a translation unit in which comments and string literals are
 blanked (so `// returns the current tick as uint64_t` or a log string
 mentioning rand() can never trigger a rule), tracks preprocessor
@@ -77,7 +76,7 @@ RULES = {
 }
 
 # ---------------------------------------------------------------------------
-# Per-rule configuration shared by both engines
+# Per-rule configuration
 # ---------------------------------------------------------------------------
 
 # Files allowed to touch host clocks: the self-benchmark measures
@@ -109,12 +108,6 @@ TELEMETRY_EXEMPT = (
     "src/sim/trace.cc",
 )
 
-# Time-valued identifier shapes for the tick-api rule.
-TIME_NAME_RE = re.compile(
-    r"(?:^|_)(?:when|tick|deadline|latency)(?:_|$)|"
-    r"(?:[a-z0-9])(?:When|Tick|Deadline|Latency)|"
-    r"^(?:when|tick|deadline|latency|now)", re.IGNORECASE)
-
 PRINTF_FAMILY = (
     "fprintf", "printf", "sprintf", "snprintf", "vfprintf",
     "vsnprintf", "fputs", "fputc", "fwrite", "puts")
@@ -130,11 +123,6 @@ OUTCOME_FIELD_RE = re.compile(
 ACCOUNTED_FN = "accountedRequests"
 
 
-def time_valued_name(name):
-    """True when an identifier looks like it carries simulated time."""
-    return bool(name) and bool(TIME_NAME_RE.search(name))
-
-
 def exempt(rel_path, exempt_list):
     """True when rel_path matches one of the exemption suffixes."""
     norm = rel_path.replace("\\", "/")
@@ -142,7 +130,7 @@ def exempt(rel_path, exempt_list):
 
 
 # ---------------------------------------------------------------------------
-# Suppression handling (driver-level, engine-independent)
+# Suppression handling (driver-level)
 # ---------------------------------------------------------------------------
 
 def allowed_rules_at(raw_lines, lineno):
@@ -169,13 +157,11 @@ def count_waivers(raw_lines):
 
 
 # ---------------------------------------------------------------------------
-# result-class: shared by both engines
+# result-class
 # ---------------------------------------------------------------------------
 #
-# The rule is comment-keyed (the `///< [outcome]` annotation lives in
-# a doc comment the AST does not carry), so a single text-level
-# implementation serves both engines and keeps their verdicts
-# identical by construction.
+# The rule is comment-keyed: the `///< [outcome]` annotation lives in
+# a doc comment, so it is matched on the raw text.
 
 def _accounted_bodies(code):
     """Concatenated brace bodies of every accountedRequests()
