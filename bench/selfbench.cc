@@ -23,6 +23,8 @@
  *    the JSON records the measured ratio honestly either way.)
  *
  * Numbers are host-dependent by design -- nothing here is golden.
+ * The JSON therefore opens with a `host` record (hardware threads,
+ * CPU model, compiler) naming the machine that produced them.
  * CI only checks that the binary runs and emits well-formed JSON
  * (scripts/check.sh perf-smoke stage); scripts/bench.sh runs the
  * full version.
@@ -39,6 +41,7 @@
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
+#include <fstream>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -71,6 +74,33 @@ field(std::ostream &os, bool &first, const char *key,
     char buf[32];
     std::snprintf(buf, sizeof(buf), fmt, value);
     os << buf;
+}
+
+#if defined(__clang__)
+constexpr const char *compilerName = "clang " __clang_version__;
+#elif defined(__GNUC__)
+constexpr const char *compilerName = "gcc " __VERSION__;
+#else
+constexpr const char *compilerName = "unknown";
+#endif
+
+/** The CPU model string from /proc/cpuinfo, or "unknown". */
+std::string
+cpuModel()
+{
+    std::ifstream in("/proc/cpuinfo");
+    std::string line;
+    while (std::getline(in, line)) {
+        if (line.rfind("model name", 0) != 0)
+            continue;
+        const auto colon = line.find(':');
+        if (colon == std::string::npos)
+            break;
+        const auto begin = line.find_first_not_of(" \t", colon + 1);
+        return begin == std::string::npos ? "unknown"
+                                          : line.substr(begin);
+    }
+    return "unknown";
 }
 
 double
@@ -438,6 +468,17 @@ main(int argc, char **argv)
     os << '{';
     json::writeKey(os, first, "smoke");
     os << (smoke ? "true" : "false");
+    json::writeKey(os, first, "host");
+    {
+        bool hf = true;
+        os << '{';
+        json::writeField(
+            os, hf, "nproc",
+            std::uint64_t{std::thread::hardware_concurrency()});
+        json::writeField(os, hf, "cpu_model", cpuModel());
+        json::writeField(os, hf, "compiler", compilerName);
+        os << '}';
+    }
     json::writeKey(os, first, "queue");
     {
         bool qf = true;

@@ -11,57 +11,31 @@ namespace mercury::cpu
 namespace
 {
 
-/** Implementation of TraceBuilder's bulk helpers lives here to keep
- * the header light. */
 constexpr std::uint64_t
-linesFor(std::uint64_t bytes, unsigned line_bytes)
+linesFor(std::uint64_t bytes)
 {
-    return (bytes + line_bytes - 1) / line_bytes;
+    return (bytes + traceLineBytes - 1) / traceLineBytes;
 }
 
 } // anonymous namespace
 
 TraceBuilder &
 TraceBuilder::codePass(Addr base, std::uint64_t region_bytes,
-                       std::uint64_t instructions, unsigned line_bytes)
+                       std::uint64_t instructions)
 {
-    const std::uint64_t lines = linesFor(region_bytes, line_bytes);
+    const std::uint64_t lines = linesFor(region_bytes);
     if (lines == 0)
         return compute(instructions);
-
-    const std::uint64_t instr_per_line = instructions / lines;
-    std::uint64_t remainder = instructions % lines;
-    for (std::uint64_t i = 0; i < lines; ++i) {
-        trace_.push_back(
-            Op::ifetch(base + i * line_bytes, Stream::Sequential));
-        std::uint64_t instr = instr_per_line;
-        if (remainder > 0) {
-            ++instr;
-            --remainder;
-        }
-        compute(instr);
-    }
+    trace_.push_back(Op::codePass(base, lines, instructions));
     return *this;
 }
 
 TraceBuilder &
-TraceBuilder::streamRead(Addr base, std::uint64_t bytes,
-                         unsigned line_bytes)
+TraceBuilder::streamRead(Addr base, std::uint64_t bytes)
 {
-    for (std::uint64_t i = 0; i < linesFor(bytes, line_bytes); ++i) {
+    for (std::uint64_t i = 0; i < linesFor(bytes); ++i) {
         trace_.push_back(
-            Op::load(base + i * line_bytes, Stream::Sequential));
-    }
-    return *this;
-}
-
-TraceBuilder &
-TraceBuilder::streamWrite(Addr base, std::uint64_t bytes,
-                          unsigned line_bytes)
-{
-    for (std::uint64_t i = 0; i < linesFor(bytes, line_bytes); ++i) {
-        trace_.push_back(
-            Op::store(base + i * line_bytes, Stream::Sequential));
+            Op::load(base + i * traceLineBytes, Stream::Sequential));
     }
     return *this;
 }
@@ -83,6 +57,7 @@ CoreModel::CoreModel(const CoreParams &params,
     mercury_assert(params_.issueIpc > 0.0, "core IPC must be > 0");
     mercury_assert(params_.mlpRandom >= 1 && params_.mlpSequential >= 1,
                    "MLP must be at least 1");
+    outstanding_.reserve(params_.mlpSequential + params_.mlpRandom);
 }
 
 unsigned
@@ -120,73 +95,94 @@ CoreModel::run(const OpTrace &trace, Tick start)
     Tick cursor = start;
     Tick compute_ticks = 0;
 
-    // Completion times of misses currently in flight.
-    std::vector<Tick> outstanding;
-    outstanding.reserve(params_.mlpSequential + params_.mlpRandom);
+    outstanding_.clear();
 
     const Tick issue_cost = params_.cyclePeriod();
 
     auto drain_all = [&] {
-        for (const Tick t : outstanding)
+        for (const Tick t : outstanding_)
             cursor = std::max(cursor, t);
-        outstanding.clear();
+        outstanding_.clear();
     };
 
     auto wait_for_one_slot = [&](unsigned window) {
-        while (outstanding.size() >= window) {
-            auto earliest = std::min_element(outstanding.begin(),
-                                             outstanding.end());
+        while (outstanding_.size() >= window) {
+            auto earliest = std::min_element(outstanding_.begin(),
+                                             outstanding_.end());
             cursor = std::max(cursor, *earliest);
-            outstanding.erase(earliest);
+            outstanding_.erase(earliest);
         }
     };
 
-    for (const Op &op : trace) {
-        if (op.kind == Op::Kind::Compute) {
-            // Out-of-order cores keep computing while misses are in
-            // flight; in-order cores have already drained.
-            const Tick t = computeTicksFor(op.instructions);
-            cursor += t;
-            compute_ticks += t;
-            result.instructions += op.instructions;
-            continue;
-        }
+    // Out-of-order cores keep computing while misses are in flight;
+    // in-order cores have already drained.
+    auto compute = [&](std::uint64_t instructions, Tick t) {
+        cursor += t;
+        compute_ticks += t;
+        result.instructions += instructions;
+    };
 
+    auto mem_op = [&](mem::CpuAccessKind kind, Addr addr,
+                      Stream stream, unsigned window) {
         ++result.memOps;
-        const unsigned window = mlpFor(op.stream);
-        if (op.stream == Stream::Dependent)
+        if (stream == Stream::Dependent)
             drain_all();
         wait_for_one_slot(window);
 
         cursor += issue_cost;
         compute_ticks += issue_cost;
 
-        mem::CpuAccessKind kind;
-        switch (op.kind) {
-          case Op::Kind::IFetch:
-            kind = mem::CpuAccessKind::IFetch;
-            break;
-          case Op::Kind::Load:
-            kind = mem::CpuAccessKind::Load;
-            break;
-          default:
-            kind = mem::CpuAccessKind::Store;
-            break;
-        }
-
         const mem::AccessResult access =
-            caches_->access(kind, op.addr, cursor);
+            caches_->access(kind, addr, cursor);
 
         if (access.source == mem::ServicedBy::L1) {
             // Hits stay in the pipeline.
             const Tick t = access.completion - cursor;
             cursor = access.completion;
             compute_ticks += t;
-        } else if (op.stream == Stream::Dependent ||
-                   !params_.outOfOrder) {
+        } else if (stream == Stream::Dependent || !params_.outOfOrder) {
             cursor = access.completion;
         } else {
-            outstanding.push_back(access.completion);
+            outstanding_.push_back(access.completion);
+        }
+    };
+
+    for (const Op &op : trace) {
+        switch (op.kind) {
+          case Op::Kind::Compute:
+            compute(op.instructions, computeTicksFor(op.instructions));
+            break;
+          case Op::Kind::CodePass: {
+            // One IFetch per line, each followed by that line's slice
+            // of the instructions; slice ticks are computed once.
+            const std::uint64_t per_line = op.instructions / op.lines;
+            const std::uint64_t longer = op.instructions % op.lines;
+            const Tick per_line_ticks = computeTicksFor(per_line);
+            const Tick longer_ticks = computeTicksFor(per_line + 1);
+            const unsigned window = mlpFor(Stream::Sequential);
+            for (std::uint64_t i = 0; i < op.lines; ++i) {
+                mem_op(mem::CpuAccessKind::IFetch,
+                       op.addr + i * traceLineBytes, Stream::Sequential,
+                       window);
+                if (i < longer)
+                    compute(per_line + 1, longer_ticks);
+                else
+                    compute(per_line, per_line_ticks);
+            }
+            break;
+          }
+          case Op::Kind::IFetch:
+            mem_op(mem::CpuAccessKind::IFetch, op.addr, op.stream,
+                   mlpFor(op.stream));
+            break;
+          case Op::Kind::Load:
+            mem_op(mem::CpuAccessKind::Load, op.addr, op.stream,
+                   mlpFor(op.stream));
+            break;
+          case Op::Kind::Store:
+            mem_op(mem::CpuAccessKind::Store, op.addr, op.stream,
+                   mlpFor(op.stream));
+            break;
         }
     }
 

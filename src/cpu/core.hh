@@ -18,6 +18,7 @@
 #define MERCURY_CPU_CORE_HH
 
 #include <string>
+#include <vector>
 
 #include "cpu/op_trace.hh"
 #include "mem/cache.hh"
@@ -99,7 +100,9 @@ class CoreModel : public SimObject
      * The model advances a time cursor through the ops. In-order
      * cores serialize on every miss. Out-of-order cores keep up to
      * mlpRandom/mlpSequential misses in flight and only serialize on
-     * dependent accesses and at the end of the trace.
+     * dependent accesses and at the end of the trace. A CodePass op
+     * runs exactly as its expansion into per-line IFetch + Compute
+     * ops would.
      */
     RunResult run(const OpTrace &trace, Tick start);
 
@@ -116,6 +119,10 @@ class CoreModel : public SimObject
 
     CoreParams params_;
     mem::CacheHierarchy *caches_;
+
+    /** Completion times of misses in flight; cleared per run() and
+     * kept to reuse its storage. */
+    std::vector<Tick> outstanding_;
 
     stats::StatGroup statGroup_;
     stats::Scalar instrRetired_;

@@ -8,6 +8,9 @@
  * code regions, and data loads/stores. The server module's trace
  * generator produces these from calibrated per-phase costs plus the
  * functional key-value store's actual probe walks.
+ *
+ * A code pass is stored run-length encoded as one CodePass op; the
+ * core expands it line by line while it walks the trace.
  */
 
 #ifndef MERCURY_CPU_OP_TRACE_HH
@@ -16,6 +19,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "sim/contract.hh"
 #include "sim/types.hh"
 
 namespace mercury::cpu
@@ -32,17 +36,31 @@ enum class Stream
     Dependent,
 };
 
+/** Line size of every synthesized trace stream. */
+constexpr unsigned traceLineBytes = 64;
+
 /** One operation in a trace. */
 struct Op
 {
-    enum class Kind : std::uint8_t { Compute, IFetch, Load, Store };
+    enum class Kind : std::uint8_t
+    {
+        Compute,
+        IFetch,
+        Load,
+        Store,
+        CodePass,
+    };
 
     Kind kind;
     Stream stream = Stream::Sequential;
-    /** Instruction count for Compute ops. */
+    /** Instruction count for Compute ops; the pass total for
+     * CodePass ops. */
     std::uint64_t instructions = 0;
-    /** Line-aligned address for memory ops. */
+    /** Line-aligned address for memory ops; the region base for
+     * CodePass ops. */
     Addr addr = 0;
+    /** Lines fetched by a CodePass op (always >= 1). */
+    std::uint64_t lines = 0;
 
     static Op
     compute(std::uint64_t instructions)
@@ -60,6 +78,24 @@ struct Op
         op.kind = Kind::IFetch;
         op.addr = addr;
         op.stream = stream;
+        return op;
+    }
+
+    /**
+     * A sequential instruction-fetch sweep of @p lines lines from
+     * @p base, with @p instructions spread over them: every line
+     * executes instructions / lines, and the first
+     * instructions % lines lines execute one more.
+     */
+    static Op
+    codePass(Addr base, std::uint64_t lines, std::uint64_t instructions)
+    {
+        MERCURY_EXPECTS(lines > 0, "a code pass covers at least a line");
+        Op op;
+        op.kind = Kind::CodePass;
+        op.addr = base;
+        op.lines = lines;
+        op.instructions = instructions;
         return op;
     }
 
@@ -103,16 +139,10 @@ class TraceBuilder
     /** Stream instruction fetches across a code region once,
      * interleaving the given instruction count as compute. */
     TraceBuilder &codePass(Addr base, std::uint64_t region_bytes,
-                           std::uint64_t instructions,
-                           unsigned line_bytes = 64);
+                           std::uint64_t instructions);
 
     /** Sequentially read a buffer at line granularity. */
-    TraceBuilder &streamRead(Addr base, std::uint64_t bytes,
-                             unsigned line_bytes = 64);
-
-    /** Sequentially write a buffer at line granularity. */
-    TraceBuilder &streamWrite(Addr base, std::uint64_t bytes,
-                              unsigned line_bytes = 64);
+    TraceBuilder &streamRead(Addr base, std::uint64_t bytes);
 
     /** A dependent load (pointer chase step); serializes. */
     TraceBuilder &

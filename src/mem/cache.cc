@@ -21,25 +21,13 @@ SetAssocCache::SetAssocCache(const CacheParams &params)
     numSets_ = static_cast<unsigned>(
         params_.sizeBytes / (params_.lineBytes * params_.assoc));
     mercury_assert(numSets_ > 0, "cache must have at least one set");
+    mercury_assert(std::has_single_bit(numSets_),
+                   "cache set count must be a power of two");
+    lineShift_ = static_cast<unsigned>(
+        std::countr_zero(params_.lineBytes));
+    setShift_ = static_cast<unsigned>(std::countr_zero(numSets_));
+    setMask_ = numSets_ - 1;
     lines_.resize(static_cast<std::size_t>(numSets_) * params_.assoc);
-}
-
-std::uint64_t
-SetAssocCache::lineAddr(Addr addr) const
-{
-    return addr / params_.lineBytes;
-}
-
-std::uint64_t
-SetAssocCache::setIndex(Addr addr) const
-{
-    return lineAddr(addr) % numSets_;
-}
-
-std::uint64_t
-SetAssocCache::tagOf(Addr addr) const
-{
-    return lineAddr(addr) / numSets_;
 }
 
 SetAssocCache::Line *
@@ -61,12 +49,13 @@ SetAssocCache::findLine(Addr addr) const
 }
 
 bool
-SetAssocCache::lookup(Addr addr)
+SetAssocCache::touch(Addr addr, bool dirty)
 {
     Line *line = findLine(addr);
     if (!line)
         return false;
     line->lruStamp = nextStamp_++;
+    line->dirty = line->dirty || dirty;
     return true;
 }
 
@@ -105,8 +94,8 @@ SetAssocCache::insert(Addr addr, bool dirty)
     std::optional<Victim> victim;
     if (victim_line->valid) {
         const std::uint64_t victim_line_number =
-            victim_line->tag * numSets_ + setIndex(addr);
-        victim = Victim{victim_line_number * params_.lineBytes,
+            (victim_line->tag << setShift_) | setIndex(addr);
+        victim = Victim{victim_line_number << lineShift_,
                         victim_line->dirty};
     }
 
@@ -170,10 +159,8 @@ CacheHierarchy::fillFromBelow(Addr line_addr, bool store, Tick now)
 
     if (l2_) {
         const Tick after_l2 = now + params_.l2.hitLatency;
-        if (l2_->lookup(line_addr)) {
+        if (l2_->touch(line_addr, store)) {
             ++l2Hits_;
-            if (store)
-                l2_->markDirty(line_addr);
             return {after_l2, ServicedBy::L2};
         }
         ++l2Misses_;
@@ -210,10 +197,8 @@ CacheHierarchy::access(CpuAccessKind kind, Addr addr, Tick now)
     const bool dirtying = store && !params_.writeThroughStores;
     const Tick after_l1 = now + l1.params().hitLatency;
 
-    if (l1.lookup(addr)) {
+    if (l1.touch(addr, dirtying)) {
         ++hits;
-        if (dirtying)
-            l1.markDirty(addr);
         if (store && params_.writeThroughStores) {
             ++memAccesses_;
             const Tick done = memory_->access(

@@ -45,7 +45,9 @@ struct Victim
  * A single set-associative cache array with true-LRU replacement.
  *
  * Tag state only; the simulator never stores data in caches (the
- * functional key-value store holds real data natively).
+ * functional key-value store holds real data natively). Line size
+ * and set count are powers of two, so line, set and tag come from
+ * shifts and a mask.
  */
 class SetAssocCache
 {
@@ -53,7 +55,11 @@ class SetAssocCache
     explicit SetAssocCache(const CacheParams &params);
 
     /** Probe for a line; updates LRU on hit. */
-    bool lookup(Addr addr);
+    bool lookup(Addr addr) { return touch(addr, false); }
+
+    /** Probe for a line; on a hit updates LRU and, when @p dirty,
+     * marks the line dirty. One tag scan. */
+    bool touch(Addr addr, bool dirty);
 
     /** Probe without disturbing replacement state. */
     bool contains(Addr addr) const;
@@ -87,14 +93,24 @@ class SetAssocCache
         bool dirty = false;
     };
 
-    std::uint64_t lineAddr(Addr addr) const;
-    std::uint64_t setIndex(Addr addr) const;
-    std::uint64_t tagOf(Addr addr) const;
+    std::uint64_t lineAddr(Addr addr) const { return addr >> lineShift_; }
+    std::uint64_t setIndex(Addr addr) const
+    {
+        return lineAddr(addr) & setMask_;
+    }
+    std::uint64_t tagOf(Addr addr) const
+    {
+        return lineAddr(addr) >> setShift_;
+    }
     Line *findLine(Addr addr);
     const Line *findLine(Addr addr) const;
 
     CacheParams params_;
     unsigned numSets_;
+    /** log2(lineBytes), log2(numSets) and numSets - 1. */
+    unsigned lineShift_;
+    unsigned setShift_;
+    std::uint64_t setMask_;
     std::uint64_t nextStamp_ = 1;
     std::vector<Line> lines_;
 };

@@ -306,6 +306,13 @@ ServerModel::recordRequest(const RequestTiming &timing, Tick rx,
     memcachedHist_.record(timing.breakdown.memcached);
 }
 
+cpu::OpTrace &
+ServerModel::beginPhase()
+{
+    phase_.clear();
+    return phase_;
+}
+
 Tick
 ServerModel::runPhase(const cpu::OpTrace &trace)
 {
@@ -603,7 +610,7 @@ ServerModel::get(const std::string &key)
 
     {
         Tick begin = cursor_;
-        cpu::OpTrace trace;
+        cpu::OpTrace &trace = beginPhase();
         buildRxPhase(trace, req_payload, arrival.packets, path);
         pt.rx += runPhase(trace);
         MERCURY_TRACE_SPAN(tracer_, traceReq, trace::Stage::Netstack,
@@ -611,7 +618,7 @@ ServerModel::get(const std::string &key)
     }
     {
         Tick begin = cursor_;
-        cpu::OpTrace trace;
+        cpu::OpTrace &trace = beginPhase();
         buildHashPhase(trace, key.size());
         pt.hash += runPhase(trace);
         MERCURY_TRACE_SPAN(tracer_, traceReq, trace::Stage::Hash,
@@ -622,7 +629,7 @@ ServerModel::get(const std::string &key)
     const kvstore::GetResult result = store_->getTraced(key, probe);
     {
         Tick begin = cursor_;
-        cpu::OpTrace trace;
+        cpu::OpTrace &trace = beginPhase();
         buildLookupPhase(trace, probe, false);
         pt.memcached += runPhase(trace);
         MERCURY_TRACE_SPAN(tracer_, traceReq, trace::Stage::StoreWalk,
@@ -641,7 +648,7 @@ ServerModel::get(const std::string &key)
                    : 5;  // "END\r\n"
     {
         Tick begin = cursor_;
-        cpu::OpTrace trace;
+        cpu::OpTrace &trace = beginPhase();
         const unsigned packets =
             bypass
                 ? static_cast<unsigned>(
@@ -717,7 +724,7 @@ ServerModel::put(const std::string &key, std::uint32_t value_bytes)
     PhaseTimes pt;
     {
         Tick begin = cursor_;
-        cpu::OpTrace trace;
+        cpu::OpTrace &trace = beginPhase();
         buildRxPhase(trace, req_payload, arrival.packets, path);
         pt.rx += runPhase(trace);
         MERCURY_TRACE_SPAN(tracer_, traceReq, trace::Stage::Netstack,
@@ -725,7 +732,7 @@ ServerModel::put(const std::string &key, std::uint32_t value_bytes)
     }
     {
         Tick begin = cursor_;
-        cpu::OpTrace trace;
+        cpu::OpTrace &trace = beginPhase();
         buildHashPhase(trace, key.size());
         pt.hash += runPhase(trace);
         MERCURY_TRACE_SPAN(tracer_, traceReq, trace::Stage::Hash,
@@ -742,7 +749,7 @@ ServerModel::put(const std::string &key, std::uint32_t value_bytes)
         nicCache_->invalidate(key);
     {
         Tick begin = cursor_;
-        cpu::OpTrace trace;
+        cpu::OpTrace &trace = beginPhase();
         buildLookupPhase(trace, probe, true);
         pt.memcached += runPhase(trace);
         MERCURY_TRACE_SPAN(tracer_, traceReq, trace::Stage::StoreWalk,
@@ -752,7 +759,7 @@ ServerModel::put(const std::string &key, std::uint32_t value_bytes)
     // Copy the inbound value from the socket buffers into the item
     // (data-transfer time, charged to the network stack per Fig. 4).
     if (status == kvstore::StoreStatus::Stored && probe.itemAddr) {
-        cpu::OpTrace trace;
+        cpu::OpTrace &trace = beginPhase();
         const Addr value_addr =
             map_.mapDataPointer(store_->slabs(), probe.itemAddr) +
             sizeof(kvstore::Item) + key.size();
@@ -795,7 +802,7 @@ ServerModel::put(const std::string &key, std::uint32_t value_bytes)
     const std::uint64_t resp_payload = cal.putResponseBytes;
     {
         Tick begin = cursor_;
-        cpu::OpTrace trace;
+        cpu::OpTrace &trace = beginPhase();
         buildTxCodePhase(trace, 1, path);
         pt.tx += runPhase(trace);
         MERCURY_TRACE_SPAN(tracer_, traceReq, trace::Stage::Netstack,

@@ -327,6 +327,9 @@ class ServerModel
         Tick netstack() const { return rx + tx; }
     };
 
+    /** The phase buffer, emptied for the next phase's trace. */
+    cpu::OpTrace &beginPhase();
+
     /** Run one trace as a phase, returning elapsed time. */
     Tick runPhase(const cpu::OpTrace &trace);
 
@@ -442,6 +445,9 @@ class ServerModel
     /** Previous hot item (stands in for the LRU list head
      * neighbours that a strict-LRU relink dirties). */
     Addr lastHotItem_ = 0;
+
+    /** One phase's trace; reused so phases do not allocate. */
+    cpu::OpTrace phase_;
 
     Rng rng_;
     std::map<std::uint32_t, unsigned> populated_;

@@ -6,9 +6,13 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <sstream>
+#include <string>
+#include <tuple>
 
 #include "cpu/core.hh"
 #include "mem/dram.hh"
+#include "sim/random.hh"
 
 namespace
 {
@@ -24,12 +28,33 @@ struct Rig
     {
         DramParams dp = stackedDramParams();
         dp.arrayLatency = dram_latency;
-        dram = std::make_unique<DramModel>(dp);
+        dram = std::make_unique<DramModel>(dp, &stats);
         caches = std::make_unique<CacheHierarchy>(
-            defaultHierarchy(core_params.type, with_l2), dram.get());
-        core = std::make_unique<CoreModel>(core_params, caches.get());
+            defaultHierarchy(core_params.type, with_l2), dram.get(),
+            &stats);
+        core = std::make_unique<CoreModel>(core_params, caches.get(),
+                                           &stats);
     }
 
+    double
+    scalar(const std::string &path) const
+    {
+        const auto *s =
+            dynamic_cast<const stats::Scalar *>(stats.find(path));
+        EXPECT_NE(s, nullptr) << path;
+        return s ? s->value() : -1.0;
+    }
+
+    std::string
+    allStats() const
+    {
+        std::ostringstream os;
+        stats.format(os);
+        return os.str();
+    }
+
+    /** Declared first so it outlives the groups hung off it. */
+    stats::StatGroup stats{"rig"};
     std::unique_ptr<DramModel> dram;
     std::unique_ptr<CacheHierarchy> caches;
     std::unique_ptr<CoreModel> core;
@@ -119,6 +144,124 @@ TEST(CoreModel, CodePassDistributesInstructions)
     auto r = rig.core->run(trace, 0);
     EXPECT_EQ(r.instructions, 6400u);
     EXPECT_EQ(r.memOps, 64u);
+}
+
+/** The per-line IFetch + Compute ops a code pass stands for. */
+OpTrace
+expandCodePass(Addr base, std::uint64_t bytes,
+               std::uint64_t instructions)
+{
+    OpTrace out;
+    const std::uint64_t lines = (bytes + 63) / 64;
+    if (lines == 0) {
+        if (instructions > 0)
+            out.push_back(Op::compute(instructions));
+        return out;
+    }
+    for (std::uint64_t i = 0; i < lines; ++i) {
+        out.push_back(Op::ifetch(base + i * 64, Stream::Sequential));
+        const std::uint64_t instr =
+            instructions / lines + (i < instructions % lines ? 1 : 0);
+        if (instr > 0)
+            out.push_back(Op::compute(instr));
+    }
+    return out;
+}
+
+void
+expectSameRun(const RunResult &a, const RunResult &b, int trial)
+{
+    EXPECT_EQ(a.start, b.start) << "trial " << trial;
+    EXPECT_EQ(a.end, b.end) << "trial " << trial;
+    EXPECT_EQ(a.computeTicks, b.computeTicks) << "trial " << trial;
+    EXPECT_EQ(a.stallTicks, b.stallTicks) << "trial " << trial;
+    EXPECT_EQ(a.instructions, b.instructions) << "trial " << trial;
+    EXPECT_EQ(a.memOps, b.memOps) << "trial " << trial;
+}
+
+class CodePassExpansion
+    : public ::testing::TestWithParam<std::tuple<CoreType, bool>>
+{};
+
+TEST_P(CodePassExpansion, RunLengthOpMatchesItsExpansion)
+{
+    auto [type, with_l2] = GetParam();
+    const CoreParams params = type == CoreType::CortexA7
+                                  ? cortexA7Params()
+                                  : type == CoreType::CortexA15
+                                        ? cortexA15Params(1.5)
+                                        : xeonParams();
+    Rig coded(params, with_l2);
+    Rig expanded(params, with_l2);
+
+    Rng rng(static_cast<std::uint64_t>(type) * 2 + with_l2);
+    Tick now = 0;
+    for (int trial = 0; trial < 300; ++trial) {
+        OpTrace run_length;
+        OpTrace by_hand;
+        TraceBuilder b(run_length);
+        for (int pass = 0; pass < 4; ++pass) {
+            // Region sizes include 0 and sizes off the line grid;
+            // instruction counts include 0 and counts below the
+            // line count, so some lines get no instructions.
+            const std::uint64_t bytes =
+                rng.nextBool(0.1) ? 0 : rng.nextInt(48 * kiB);
+            const std::uint64_t lines = (bytes + 63) / 64;
+            std::uint64_t instr = 0;
+            switch (rng.nextInt(3)) {
+              case 0: instr = rng.nextInt(lines + 1); break;
+              case 1: instr = rng.nextInt(50 * lines + 1); break;
+              default: instr = rng.nextInt(4); break;
+            }
+            const Addr base = rng.nextInt(256) * 4 * kiB;
+            b.codePass(base, bytes, instr);
+            const OpTrace ops = expandCodePass(base, bytes, instr);
+            by_hand.insert(by_hand.end(), ops.begin(), ops.end());
+
+            // Data traffic between passes: dirty lines, writebacks
+            // and misses still in flight when the next pass starts.
+            for (int i = 0; i < 8; ++i) {
+                const Addr addr = 4 * miB + rng.nextInt(16 * kiB) * 64;
+                const Op op = rng.nextBool(0.5)
+                                  ? Op::store(addr, Stream::Random)
+                                  : Op::load(addr, Stream::Random);
+                run_length.push_back(op);
+                by_hand.push_back(op);
+            }
+        }
+
+        const RunResult a = coded.core->run(run_length, now);
+        const RunResult r = expanded.core->run(by_hand, now);
+        expectSameRun(a, r, trial);
+        now = a.end + rng.nextInt(1000) * tickNs;
+    }
+
+    for (const char *counter :
+         {"caches.l1iHits", "caches.l1iMisses", "caches.l1dHits",
+          "caches.l1dMisses", "caches.l2Hits", "caches.l2Misses",
+          "caches.writebacks", "caches.memAccesses"}) {
+        EXPECT_EQ(coded.scalar(counter), expanded.scalar(counter))
+            << counter;
+    }
+    EXPECT_GT(coded.scalar("caches.l1iMisses"), 0.0);
+    EXPECT_GT(coded.scalar("caches.writebacks"), 0.0);
+    EXPECT_EQ(coded.scalar("stackedDram.reads"),
+              expanded.scalar("stackedDram.reads"));
+    EXPECT_GT(coded.scalar("stackedDram.reads"), 0.0);
+    EXPECT_EQ(coded.allStats(), expanded.allStats());
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    CoresAndL2, CodePassExpansion,
+    ::testing::Combine(::testing::Values(CoreType::CortexA7,
+                                         CoreType::CortexA15,
+                                         CoreType::XeonClass),
+                       ::testing::Bool()));
+
+TEST(CoreModel, EmptyCodePassOpIsRejected)
+{
+    contract::ScopedContractThrow guard;
+    EXPECT_THROW(Op::codePass(0, 0, 100), contract::ContractViolation);
 }
 
 TEST(CoreModel, L2TurnsRepeatSweepsIntoL2Hits)

@@ -120,6 +120,11 @@ TEST(SetAssocCache, RejectsBadGeometry)
     CacheParams p = tinyCache();
     p.lineBytes = 48;  // not a power of two
     EXPECT_THROW(SetAssocCache{p}, SimFatalError);
+
+    // 3 KiB direct-mapped: 48 sets, which shift/mask indexing
+    // cannot address.
+    CacheParams sets = tinyCache(3, 1);
+    EXPECT_THROW(SetAssocCache{sets}, SimFatalError);
 }
 
 class HierarchyTest : public ::testing::Test

@@ -75,6 +75,16 @@ def main():
         print(f"perfguard: {err}", file=sys.stderr)
         return 2
 
+    # The host record names the machine behind each file; it holds
+    # no rates, so it never gates.
+    for label, report in (("baseline", baseline), ("fresh", fresh)):
+        host = report.get("host")
+        if isinstance(host, dict):
+            print(
+                f"perfguard: {label} host: {host.get('nproc')} threads,"
+                f" {host.get('cpu_model')}, {host.get('compiler')}"
+            )
+
     tolerance = args.tolerance
     if bool(baseline.get("smoke")) != bool(fresh.get("smoke")):
         tolerance *= 2
