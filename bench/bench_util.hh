@@ -40,6 +40,7 @@
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -207,11 +208,20 @@ class Session
                 timeseriesPath_ = value;
             } else if (match(arg, "--sample-interval", i, argc, argv,
                              value)) {
-                sampleIntervalUs_ = parseSampleInterval(value);
+                // The window's tick count must fit a Tick.
+                sampleIntervalUs_ = parseDecimal<std::uint64_t>(
+                    "--sample-interval", value, 1, maxTick / tickUs);
             } else if (arg == "--smoke") {
                 smoke_ = true;
             } else if (match(arg, "--jobs", i, argc, argv, value)) {
-                jobs_ = parseJobs(value);
+                // 0 means one worker per hardware thread.
+                jobs_ = parseDecimal<unsigned>(
+                    "--jobs", value, 0,
+                    std::numeric_limits<unsigned>::max());
+                if (jobs_ == 0) {
+                    jobs_ = std::max(
+                        1u, std::thread::hardware_concurrency());
+                }
             } else if (arg == "--help") {
                 std::fputs(helpText(registry_.name()).c_str(),
                            stdout);
@@ -388,33 +398,24 @@ class Session
     }
 
   private:
-    /** Simulated microseconds per window; 0/garbage clamps to 1. */
-    static std::uint64_t
-    parseSampleInterval(const std::string &value)
+    /** A plain decimal in [lo, hi]. Anything else (a sign,
+     * trailing garbage, overflow, out of range) fails fast with
+     * exit 2, like an unknown flag. */
+    template <typename T>
+    T
+    parseDecimal(const char *flag, const std::string &value, T lo,
+                 T hi) const
     {
-        const long long parsed =
-            std::strtoll(value.c_str(), nullptr, 10);
-        return parsed > 0 ? static_cast<std::uint64_t>(parsed) : 1;
-    }
-
-    /** "--jobs 0" means one worker per hardware thread. Anything
-     * but a plain decimal that fits an unsigned (a sign, trailing
-     * garbage, overflow) fails fast with exit 2, like an unknown
-     * flag. */
-    unsigned
-    parseJobs(const std::string &value) const
-    {
-        unsigned parsed = 0;
+        T parsed = 0;
         const char *const end = value.data() + value.size();
         const auto [ptr, ec] = std::from_chars(value.data(), end, parsed);
-        if (ec != std::errc{} || ptr != end) {
-            std::fprintf(stderr, "%s: invalid --jobs value '%s'; "
+        if (ec != std::errc{} || ptr != end || parsed < lo ||
+            parsed > hi) {
+            std::fprintf(stderr, "%s: invalid %s value '%s'; "
                                  "see --help\n",
-                         registry_.name().c_str(), value.c_str());
+                         registry_.name().c_str(), flag, value.c_str());
             std::exit(2);
         }
-        if (parsed == 0)
-            return std::max(1u, std::thread::hardware_concurrency());
         return parsed;
     }
 

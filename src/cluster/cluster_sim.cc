@@ -10,8 +10,28 @@
 namespace mercury::cluster
 {
 
+namespace
+{
+
+/** Ring points per physical node. */
+constexpr unsigned virtualNodes = 64;
+
+/** A hedge fires when the primary is slower than this quantile of
+ * observed attempt service times... */
+constexpr double hedgeQuantile = 0.95;
+/** ...floored here, and held at the floor until hedgeWarmup
+ * attempt samples have been observed. */
+constexpr Tick hedgeFloor = 300 * tickUs;
+constexpr unsigned hedgeWarmup = 32;
+
+/** Time to deliver an admission-control "busy" refusal (network + a
+ * queue-front check; the store is never touched). */
+constexpr Tick shedResponseTime = 20 * tickUs;
+
+} // namespace
+
 ClusterSim::ClusterSim(const ClusterSimParams &params)
-    : params_(params), ring_(params.virtualNodes),
+    : params_(params), ring_(virtualNodes),
       injector_(params.faults.seed)
 {
     mercury_assert(params_.nodes >= 1, "cluster needs nodes");
@@ -73,12 +93,6 @@ ClusterSim::indexOfName(const std::string &name) const
     mercury_panic("ring returned unknown node ", name);
 }
 
-std::size_t
-ClusterSim::nodeIndexFor(std::string_view key) const
-{
-    return indexOfName(ring_.nodeFor(key));
-}
-
 unsigned
 ClusterSim::effectiveReplication() const
 {
@@ -105,7 +119,8 @@ ClusterSim::populate()
     for (std::uint64_t id = 0; id < params_.numKeys; ++id) {
         const std::string key = keyFor(id);
         if (replication == 1) {
-            nodes_[nodeIndexFor(key)]->put(key, params_.valueBytes);
+            nodes_[ring_.nodeIndexFor(key)]->put(key,
+                                                 params_.valueBytes);
         } else {
             for (const std::string &name :
                  replicaOrder(key, replication)) {
@@ -204,14 +219,12 @@ ClusterSim::run(double offered_tps)
     ClusterSimResult result;
     result.offeredTps = offered_tps;
 
-    // Fault-mode state. Nothing here is touched (and the injector
-    // never draws) when faults are disabled, keeping such runs
-    // bit-identical to a pre-fault build.
+    // Fault and resilience state. With faults disabled every node
+    // stays up and the injector never draws.
     const ClusterFaultParams &fp = params_.faults;
     const ClusterResilienceParams &res = params_.resilience;
     const unsigned replication = effectiveReplication();
-    const bool hedging =
-        fp.enabled && res.hedgedReads && replication >= 2;
+    const bool hedging = res.hedgedReads && replication >= 2;
     std::vector<bool> up(nodes_.size(), true);
     std::vector<Tick> restart_at(nodes_.size(), 0);
     /** GETs left in each node's post-restart recovery window. */
@@ -232,16 +245,19 @@ ClusterSim::run(double offered_tps)
     // write order) and are replayed when the node restarts.
     std::vector<std::vector<std::uint64_t>> hints(nodes_.size());
 
-    // Per-node outstanding-request accounting: completion times of
-    // requests in flight on each node, pruned as time passes.
+    // Per-node outstanding-request accounting (a fault-mode
+    // diagnostic): completion times of requests in flight on each
+    // node, pruned as time passes.
     std::vector<std::deque<Tick>> inflight(nodes_.size());
     auto note_inflight = [&](std::size_t n, Tick begin, Tick end) {
-        std::deque<Tick> &q = inflight[n];
-        while (!q.empty() && q.front() <= begin)
-            q.pop_front();
-        q.push_back(end);
-        result.maxOutstanding = std::max<std::uint64_t>(
-            result.maxOutstanding, q.size());
+        if (fp.enabled) {
+            std::deque<Tick> &q = inflight[n];
+            while (!q.empty() && q.front() <= begin)
+                q.pop_front();
+            q.push_back(end);
+            result.maxOutstanding = std::max<std::uint64_t>(
+                result.maxOutstanding, q.size());
+        }
     };
 
     // Observed attempt service times drive the hedge delay: hedge
@@ -251,19 +267,19 @@ ClusterSim::run(double offered_tps)
     stats::LatencyHistogram attempt_service(
         &hedge_stats, "attempt_us", "attempt service time");
     auto hedge_delay = [&]() -> Tick {
-        if (attempt_service.count() < res.hedgeWarmup)
-            return res.hedgeFloor;
+        if (attempt_service.count() < hedgeWarmup)
+            return hedgeFloor;
         const Tick quantile =
             static_cast<Tick>(
-                attempt_service.percentile(res.hedgeQuantile)) *
+                attempt_service.percentile(hedgeQuantile)) *
             tickUs;
-        return std::max(quantile, res.hedgeFloor);
+        return std::max(quantile, hedgeFloor);
     };
 
     // Retry budget: retries so far may not exceed the configured
     // fraction of requests issued so far (warmup included -- the
     // budget is a client-lifetime property, not a measurement one).
-    const bool budgeted = fp.enabled && res.retryBudgetFraction > 0.0;
+    const bool budgeted = res.retryBudgetFraction > 0.0;
     std::uint64_t issued = 0;
     std::uint64_t retries_spent = 0;
     auto retry_allowed = [&]() {
@@ -318,6 +334,13 @@ ClusterSim::run(double offered_tps)
             sampler->count(ch_restarts);
     };
 
+    // Client failover order (node indices), reused across requests.
+    // It spans the replica set and the retry walk.
+    const std::size_t fan = std::max<std::size_t>(
+        replication, static_cast<std::size_t>(fp.maxRetries) + 1);
+    std::vector<std::size_t> order;
+    order.reserve(fan);
+
     Tick arrival = origin;
     for (unsigned i = 0; i < params_.warmup + params_.requests;
          ++i) {
@@ -346,140 +369,87 @@ ClusterSim::run(double offered_tps)
         const std::uint32_t client_req =
             tracer ? tracer->beginRequest() : 0;
 
-        if (!fp.enabled) {
-            const std::size_t index = nodeIndexFor(key);
-            server::ServerModel &node = *nodes_[index];
-
-            node.advanceTo(arrival);
-            {
-                // Node-side spans carry the serving node's identity
-                // and the client envelope as causal parent.
-                trace::ScopedTraceContext span_ctx(
-                    tracer, static_cast<std::uint16_t>(index),
-                    client_req);
-                if (request.op == workload::Request::Op::Get) {
-                    const server::RequestTiming timing =
-                        node.get(key);
-                    if (measured) {
-                        ++gets;
-                        hits += timing.hit ? 1 : 0;
-                    }
-                    if (sampler) {
-                        sampler->count(ch_gets);
-                        if (timing.hit)
-                            sampler->count(ch_hits);
-                    }
-                } else {
-                    node.put(key, params_.valueBytes);
-                }
-                MERCURY_TRACE_SPAN(tracer, client_req,
-                                   trace::Stage::Attempt, arrival,
-                                   node.now(), 0);
-            }
-            if (tracer) {
-                trace::ScopedTraceContext span_ctx(
-                    tracer, trace::clientNode);
-                MERCURY_TRACE_SPAN(tracer, client_req,
-                                   trace::Stage::Client, arrival,
-                                   node.now(), 1);
-            }
-
-            const Tick latency = node.now() - arrival;
-            ++win_ok;
-            if (sampler) {
-                sampler->count(ch_ok);
-                sampler->recordLatency(
-                    ch_lat, static_cast<std::uint64_t>(
-                                latency / tickUs));
-            }
-            if (!measured)
-                continue;
-            ++result.ok;
-            latencies.push_back(latency);
-            per_node[index].push_back(latency);
-            ++counts[index];
-            continue;
-        }
-
-        // --- Fault mode -----------------------------------------
-
-        // Nodes whose downtime elapsed come back (cold) first.
-        for (std::size_t n = 0; n < nodes_.size(); ++n) {
-            if (!up[n] && restart_at[n] <= arrival)
-                restart(n, restart_at[n]);
-        }
-        // Explicitly scheduled fault plans. A plan due before the
-        // run's time origin fires at the first arrival (plans are
-        // expressed in simulated time, which populate() has already
-        // advanced).
-        while (auto due = injector_.popDue(arrival)) {
-            const Tick at = std::max(due->at, arrival);
-            switch (due->kind) {
-            case fault::FaultKind::NodeCrash: {
-                const std::size_t target = indexOfName(due->target);
-                if (up[target])
-                    crash(target, at);
-                break;
-            }
-            case fault::FaultKind::NodeRestart: {
-                const std::size_t target = indexOfName(due->target);
-                if (!up[target])
-                    restart(target, at);
-                break;
-            }
-            case fault::FaultKind::NetDegrade:
-            case fault::FaultKind::NetRestore: {
-                // A degradation burst retunes wire loss; the restore
-                // event snaps it back to the configured baseline.
-                const double loss =
-                    due->kind == fault::FaultKind::NetDegrade
-                        ? fault::ppbToProbability(due->detail)
-                        : fp.packetLossProbability;
-                injector_.record(at, due->kind, due->target,
-                                 due->detail);
-                if (due->target == fault::allNodes) {
-                    for (const auto &node : nodes_)
-                        node->setPacketLoss(loss);
-                } else {
-                    nodes_[indexOfName(due->target)]->setPacketLoss(
-                        loss);
-                }
-                break;
-            }
-            case fault::FaultKind::FlashWear: {
-                // Elevated program-fail probability while a wear
-                // burst is active; detail 0 marks its end.
-                const double wear =
-                    fault::ppbToProbability(due->detail);
-                injector_.record(at, due->kind, due->target,
-                                 due->detail);
-                if (due->target == fault::allNodes) {
-                    for (const auto &node : nodes_)
-                        node->setFlashWear(wear);
-                } else {
-                    nodes_[indexOfName(due->target)]->setFlashWear(
-                        wear);
-                }
-                break;
-            }
-            default:
-                // Probabilistic kinds are never scheduled; a plan
-                // carrying one is a bug in the plan builder.
-                mercury_panic("unschedulable fault kind in plan: ",
-                              fault::kindName(due->kind));
-            }
-        }
-        // Poisson crashes; the last live node is never taken down.
-        while (next_crash <= arrival) {
-            std::vector<std::size_t> alive;
+        // Fault events due by this arrival: restarts first, then
+        // scheduled plans, then Poisson crashes.
+        if (fp.enabled) {
             for (std::size_t n = 0; n < nodes_.size(); ++n) {
-                if (up[n])
-                    alive.push_back(n);
+                if (!up[n] && restart_at[n] <= arrival)
+                    restart(n, restart_at[n]);
             }
-            if (alive.size() > 1)
-                crash(alive[injector_.pick(alive.size())],
-                      next_crash);
-            next_crash += injector_.nextInterval(crash_mean);
+            // Explicitly scheduled fault plans. A plan due before
+            // the run's time origin fires at the first arrival (plans
+            // are expressed in simulated time, which populate() has
+            // already advanced).
+            while (auto due = injector_.popDue(arrival)) {
+                const Tick at = std::max(due->at, arrival);
+                switch (due->kind) {
+                case fault::FaultKind::NodeCrash: {
+                    const std::size_t target = indexOfName(due->target);
+                    if (up[target])
+                        crash(target, at);
+                    break;
+                }
+                case fault::FaultKind::NodeRestart: {
+                    const std::size_t target = indexOfName(due->target);
+                    if (!up[target])
+                        restart(target, at);
+                    break;
+                }
+                case fault::FaultKind::NetDegrade:
+                case fault::FaultKind::NetRestore: {
+                    // A degradation burst retunes wire loss; the
+                    // restore event snaps it back to the configured
+                    // baseline.
+                    const double loss =
+                        due->kind == fault::FaultKind::NetDegrade
+                            ? fault::ppbToProbability(due->detail)
+                            : fp.packetLossProbability;
+                    injector_.record(at, due->kind, due->target,
+                                     due->detail);
+                    if (due->target == fault::allNodes) {
+                        for (const auto &node : nodes_)
+                            node->setPacketLoss(loss);
+                    } else {
+                        nodes_[indexOfName(due->target)]->setPacketLoss(
+                            loss);
+                    }
+                    break;
+                }
+                case fault::FaultKind::FlashWear: {
+                    // Elevated program-fail probability while a wear
+                    // burst is active; detail 0 marks its end.
+                    const double wear =
+                        fault::ppbToProbability(due->detail);
+                    injector_.record(at, due->kind, due->target,
+                                     due->detail);
+                    if (due->target == fault::allNodes) {
+                        for (const auto &node : nodes_)
+                            node->setFlashWear(wear);
+                    } else {
+                        nodes_[indexOfName(due->target)]->setFlashWear(
+                            wear);
+                    }
+                    break;
+                }
+                default:
+                    // Probabilistic kinds are never scheduled; a plan
+                    // carrying one is a bug in the plan builder.
+                    mercury_panic("unschedulable fault kind in plan: ",
+                                  fault::kindName(due->kind));
+                }
+            }
+            // Poisson crashes; the last live node is never taken down.
+            while (next_crash <= arrival) {
+                std::vector<std::size_t> alive;
+                for (std::size_t n = 0; n < nodes_.size(); ++n) {
+                    if (up[n])
+                        alive.push_back(n);
+                }
+                if (alive.size() > 1)
+                    crash(alive[injector_.pick(alive.size())],
+                          next_crash);
+                next_crash += injector_.nextInterval(crash_mean);
+            }
         }
 
         // Client request path. The client fans out over the key's
@@ -489,15 +459,17 @@ ClusterSim::run(double offered_tps)
         // exponential backoff before the next try, as real memcached
         // clients do.
         const bool is_get = request.op == workload::Request::Op::Get;
-        const std::size_t fan = std::max<std::size_t>(
-            replication,
-            static_cast<std::size_t>(fp.maxRetries) + 1);
-        const std::vector<std::string> order_names =
-            replicaOrder(key, fan);
-        std::vector<std::size_t> order;
-        order.reserve(order_names.size());
-        for (const std::string &name : order_names)
-            order.push_back(indexOfName(name));
+        // The primary comes straight off the ring. The full replica
+        // and failover order is only needed when a second node can
+        // be asked: replicas exist, or the primary is down.
+        const std::size_t primary = ring_.nodeIndexFor(key);
+        order.clear();
+        if (replication >= 2 || !up[primary]) {
+            for (const std::string &name : replicaOrder(key, fan))
+                order.push_back(indexOfName(name));
+        } else {
+            order.push_back(primary);
+        }
         ++issued;
 
         enum class Outcome { Pending, Ok, Shed, Failed, TimedOut };
@@ -516,7 +488,7 @@ ClusterSim::run(double offered_tps)
                 node_free > begin ? node_free - begin : 0;
             if (queue_delay <= res.sloQueueDelay)
                 return false;
-            answered_at = begin + res.shedResponseTime;
+            answered_at = begin + shedResponseTime;
             outcome = Outcome::Shed;
             if (measured)
                 ++result.shed;
@@ -538,7 +510,9 @@ ClusterSim::run(double offered_tps)
             Tick end = 0;
             bool hit = false;
         };
-        // One traced GET attempt against an up node.
+        // One traced GET attempt against an up node. Node-side spans
+        // carry the serving node's identity and the client envelope
+        // as causal parent.
         auto do_get = [&](std::size_t index, Tick begin,
                           unsigned attempt_no) {
             server::ServerModel &node = *nodes_[index];
@@ -555,6 +529,24 @@ ClusterSim::run(double offered_tps)
             }
             note_inflight(index, begin, node.now());
             return AttemptOutcome{node.now(), hit};
+        };
+        // One traced PUT attempt against an up node; returns when it
+        // acked.
+        auto do_put = [&](std::size_t index, Tick begin,
+                          unsigned attempt_no) {
+            server::ServerModel &node = *nodes_[index];
+            node.advanceTo(begin);
+            {
+                trace::ScopedTraceContext span_ctx(
+                    tracer, static_cast<std::uint16_t>(index),
+                    client_req);
+                node.put(key, params_.valueBytes);
+                MERCURY_TRACE_SPAN(tracer, client_req,
+                                   trace::Stage::Attempt, begin,
+                                   node.now(), attempt_no);
+            }
+            note_inflight(index, begin, node.now());
+            return node.now();
         };
         // Hit accounting for the GET attempt that actually answered
         // the client. A cancelled hedge loser is never accounted:
@@ -606,7 +598,6 @@ ClusterSim::run(double offered_tps)
         // Hedged GET: race the primary against one backup replica;
         // the first answer wins and the loser is cancelled.
         if (outcome == Outcome::Pending && hedging && is_get) {
-            const std::size_t primary = order[0];
             std::size_t secondary = 0;
             bool have_secondary = false;
             for (std::size_t r = 1; r < replication; ++r) {
@@ -711,21 +702,8 @@ ClusterSim::run(double offered_tps)
                         ++result.hintsQueued;
                         continue;
                     }
-                    server::ServerModel &node = *nodes_[index];
-                    node.advanceTo(arrival);
-                    {
-                        trace::ScopedTraceContext span_ctx(
-                            tracer,
-                            static_cast<std::uint16_t>(index),
-                            client_req);
-                        node.put(key, params_.valueBytes);
-                        MERCURY_TRACE_SPAN(tracer, client_req,
-                                           trace::Stage::Attempt,
-                                           arrival, node.now(),
-                                           attempt_no++);
-                    }
-                    note_inflight(index, arrival, node.now());
-                    end = std::max(end, node.now());
+                    end = std::max(
+                        end, do_put(index, arrival, attempt_no++));
                 }
                 // The round completes when the slowest replica
                 // acked (write-all).
@@ -815,22 +793,9 @@ ClusterSim::run(double offered_tps)
                     account_get(index, got.hit);
                     finish_served(index, got.end);
                 } else {
-                    server::ServerModel &node = *nodes_[index];
-                    node.advanceTo(attempt_begin);
-                    {
-                        trace::ScopedTraceContext span_ctx(
-                            tracer,
-                            static_cast<std::uint16_t>(index),
-                            client_req);
-                        node.put(key, params_.valueBytes);
-                        MERCURY_TRACE_SPAN(tracer, client_req,
-                                           trace::Stage::Attempt,
-                                           attempt_begin,
-                                           node.now(), attempt);
-                    }
-                    note_inflight(index, attempt_begin,
-                                  node.now());
-                    finish_served(index, node.now());
+                    finish_served(index,
+                                  do_put(index, attempt_begin,
+                                         attempt));
                 }
                 break;
             }
@@ -855,24 +820,13 @@ ClusterSim::run(double offered_tps)
         }
     }
 
-    if (!latencies.empty()) {
-        std::sort(latencies.begin(), latencies.end());
-        double sum = 0.0;
-        std::size_t sub_ms = 0;
-        for (const Tick latency : latencies) {
-            sum += ticksToUs(latency);
-            if (latency < tickMs)
-                ++sub_ms;
-        }
-        result.avgLatencyUs =
-            sum / static_cast<double>(latencies.size());
-        result.p99LatencyUs = ticksToUs(latencies[static_cast<
-            std::size_t>(0.99 * (latencies.size() - 1))]);
-        result.p999LatencyUs = ticksToUs(latencies[static_cast<
-            std::size_t>(0.999 * (latencies.size() - 1))]);
-        result.subMsFraction = static_cast<double>(sub_ms) /
-                               static_cast<double>(latencies.size());
-    }
+    std::sort(latencies.begin(), latencies.end());
+    const stats::LatencySummary summary =
+        stats::summarizeSorted(latencies);
+    result.avgLatencyUs = summary.meanUs;
+    result.p99LatencyUs = summary.p99Us;
+    result.p999LatencyUs = summary.p999Us;
+    result.subMsFraction = summary.subMsFraction;
 
     // Hot-node statistics.
     std::size_t hottest = 0;
@@ -884,19 +838,14 @@ ClusterSim::run(double offered_tps)
         static_cast<double>(counts[hottest]) /
         static_cast<double>(params_.requests);
 
-    auto p99_of = [](std::vector<Tick> &v) {
-        if (v.empty())
-            return 0.0;
-        std::sort(v.begin(), v.end());
-        return ticksToUs(
-            v[static_cast<std::size_t>(0.99 * (v.size() - 1))]);
-    };
-    const double hot_p99 = p99_of(per_node[hottest]);
     std::vector<double> node_p99s;
     for (auto &v : per_node) {
+        std::sort(v.begin(), v.end());
         if (!v.empty())
-            node_p99s.push_back(p99_of(v));
+            node_p99s.push_back(stats::summarizeSorted(v).p99Us);
     }
+    const double hot_p99 =
+        stats::summarizeSorted(per_node[hottest]).p99Us;
     if (!node_p99s.empty()) {
         std::sort(node_p99s.begin(), node_p99s.end());
         const double median_p99 = node_p99s[node_p99s.size() / 2];

@@ -27,9 +27,12 @@ namespace mercury::cluster
 {
 
 /**
- * Fault-mode configuration. Disabled by default; a disabled run
- * never touches the injector and is bit-identical to a pre-fault
- * build.
+ * Fault-mode configuration. Disabled by default. `enabled` gates
+ * only the faults themselves: node-path packet loss, the per-node
+ * injector forks, the fault-event step (restarts, scheduled plans,
+ * Poisson crashes) and the maxOutstanding diagnostic. Every request
+ * walks the same client path either way, and a disabled run never
+ * draws from the injector.
  */
 struct ClusterFaultParams
 {
@@ -67,7 +70,8 @@ struct ClusterFaultParams
 /**
  * Fault-tolerance and graceful-degradation knobs. All defaults are
  * "off": a default-constructed instance reproduces the unreplicated,
- * unhedged, shed-nothing client bit for bit.
+ * unhedged, shed-nothing client bit for bit. Each knob acts on its
+ * own value, with or without fault mode.
  */
 struct ClusterResilienceParams
 {
@@ -94,21 +98,12 @@ struct ClusterResilienceParams
      * Needs replicationFactor >= 2 -- only replicas hold the data a
      * hedge could serve. A hedged client also rescues a GET whose
      * primary is down without waiting the full request timeout: the
-     * hedge fires at the hedge delay as usual.
+     * hedge fires at the hedge delay as usual. The hedge delay is
+     * the p95 of observed attempt service times, floored at 300 us
+     * and held at the floor for the first 32 samples (constants in
+     * cluster_sim.cc).
      */
     bool hedgedReads = false;
-
-    /** The hedge fires when the primary is slower than this
-     * quantile of observed attempt service times. */
-    double hedgeQuantile = 0.95;
-
-    /** Floor on the hedge delay; also used verbatim until
-     * hedgeWarmup attempt samples have been observed. */
-    Tick hedgeFloor = 300 * tickUs;
-
-    /** Attempt-latency samples needed before the quantile (rather
-     * than hedgeFloor) drives the hedge delay. */
-    unsigned hedgeWarmup = 32;
 
     /**
      * Retry budget: retries across the run may not exceed this
@@ -126,16 +121,14 @@ struct ClusterResilienceParams
      * request with a fast "busy" refusal instead of queueing it.
      * Shed requests are a distinct outcome class -- the client gets
      * a prompt negative answer, not a timeout -- so overload
-     * degrades throughput instead of collapsing the tail.
+     * degrades throughput instead of collapsing the tail. The
+     * refusal takes 20 us (network + a queue-front check; the store
+     * is never touched).
      */
     bool admissionControl = false;
 
     /** Queue-delay SLO threshold beyond which a node sheds. */
     Tick sloQueueDelay = 2 * tickMs;
-
-    /** Time to deliver the "busy" refusal (network + a queue-front
-     * check; the store is never touched). */
-    Tick shedResponseTime = 20 * tickUs;
 };
 
 /** Static configuration of a cluster experiment. */
@@ -143,8 +136,8 @@ struct ClusterSimParams
 {
     /** Per-node configuration. */
     server::ServerModelParams node;
+    /** Nodes on the ring (64 virtual points each). */
     unsigned nodes = 8;
-    unsigned virtualNodes = 64;
 
     /** Key space and popularity. */
     std::uint64_t numKeys = 4000;
@@ -267,7 +260,8 @@ struct ClusterSimResult
     std::uint64_t hintsReplayed = 0;
     /** Replica misses re-filled by the read-through path. */
     std::uint64_t readRepairs = 0;
-    /** Peak simultaneously outstanding requests on any single node. */
+    /** Peak simultaneously outstanding requests on any single node
+     * (fault mode only; 0 with faults off). */
     std::uint64_t maxOutstanding = 0;
     std::uint64_t crashes = 0;
     std::uint64_t restarts = 0;
@@ -308,7 +302,7 @@ class ClusterSim
 
   private:
     std::string keyFor(std::uint64_t key_id) const;
-    std::size_t nodeIndexFor(std::string_view key) const;
+    /** Node index of a name (fault-plan targets, replica orders). */
     std::size_t indexOfName(const std::string &name) const;
 
     /** Master timeline digest chained through every per-node
@@ -324,6 +318,8 @@ class ClusterSim
                                           std::size_t count) const;
 
     ClusterSimParams params_;
+    /** Nodes are added in index order and never removed, so a ring
+     * index is a node index. */
     ConsistentHashRing ring_;
     std::vector<std::unique_ptr<server::ServerModel>> nodes_;
     std::vector<std::string> nodeNames_;

@@ -64,12 +64,18 @@ ConsistentHashRing::removeNode(const std::string &name)
 const std::string &
 ConsistentHashRing::nodeFor(std::string_view key) const
 {
+    return nodes_[nodeIndexFor(key)];
+}
+
+std::size_t
+ConsistentHashRing::nodeIndexFor(std::string_view key) const
+{
     mercury_assert(!ring_.empty(), "ring has no nodes");
     const std::uint64_t point = kvstore::hashKey(key);
     auto it = ring_.lower_bound(point);
     if (it == ring_.end())
         it = ring_.begin();  // wrap around the circle
-    return nodes_[it->second];
+    return it->second;
 }
 
 std::vector<std::string>

@@ -51,6 +51,12 @@ class ConsistentHashRing
      * @pre at least one node present. */
     const std::string &nodeFor(std::string_view key) const;
 
+    /** Index form of nodeFor(): the owner's position in insertion
+     * order (stable while no node is removed). Skips the name
+     * lookup a caller holding per-node state by index would pay.
+     * @pre at least one node present. */
+    std::size_t nodeIndexFor(std::string_view key) const;
+
     /**
      * Up to @p count distinct nodes in ring order starting at the
      * key's owner -- the failover order a memcached client walks

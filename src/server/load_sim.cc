@@ -107,29 +107,19 @@ LoadSimulation::run(double offered_tps)
         sampler->finish(arrival);
 
     std::sort(latencies.begin(), latencies.end());
-    auto at = [&](double q) {
-        return ticksToUs(latencies[static_cast<std::size_t>(
-            q * static_cast<double>(latencies.size() - 1))]);
-    };
+    const stats::LatencySummary summary =
+        stats::summarizeSorted(latencies);
 
     LoadPoint point;
     point.offeredTps = offered_tps;
     point.achievedTps =
         static_cast<double>(params_.requests) /
         ticksToSeconds(node_.now() - first_measured_arrival);
-    double sum = 0.0;
-    std::size_t sub_ms = 0;
-    for (const Tick latency : latencies) {
-        sum += ticksToUs(latency);
-        if (latency < tickMs)
-            ++sub_ms;
-    }
-    point.avgLatencyUs = sum / static_cast<double>(latencies.size());
-    point.p50Us = at(0.50);
-    point.p95Us = at(0.95);
-    point.p99Us = at(0.99);
-    point.subMsFraction = static_cast<double>(sub_ms) /
-                          static_cast<double>(latencies.size());
+    point.avgLatencyUs = summary.meanUs;
+    point.p50Us = summary.p50Us;
+    point.p95Us = summary.p95Us;
+    point.p99Us = summary.p99Us;
+    point.subMsFraction = summary.subMsFraction;
     return point;
 }
 

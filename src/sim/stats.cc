@@ -379,4 +379,31 @@ Registry::writeJson(std::ostream &os) const
              static_cast<std::streamsize>(jsonBuffer_.size()));
 }
 
+LatencySummary
+summarizeSorted(const std::vector<Tick> &sorted)
+{
+    LatencySummary summary;
+    if (sorted.empty())
+        return summary;
+    const double n = static_cast<double>(sorted.size());
+    auto at = [&](double q) {
+        return ticksToUs(sorted[static_cast<std::size_t>(
+            q * static_cast<double>(sorted.size() - 1))]);
+    };
+    double sum = 0.0;
+    std::size_t sub_ms = 0;
+    for (const Tick latency : sorted) {
+        sum += ticksToUs(latency);
+        if (latency < tickMs)
+            ++sub_ms;
+    }
+    summary.meanUs = sum / n;
+    summary.p50Us = at(0.50);
+    summary.p95Us = at(0.95);
+    summary.p99Us = at(0.99);
+    summary.p999Us = at(0.999);
+    summary.subMsFraction = static_cast<double>(sub_ms) / n;
+    return summary;
+}
+
 } // namespace mercury::stats

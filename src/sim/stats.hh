@@ -372,6 +372,26 @@ class Registry : public StatGroup
     mutable std::string jsonBuffer_ GUARDED_BY(jsonMutex_);
 };
 
+/**
+ * Summary of a latency sample sorted ascending: the mean, nearest-
+ * rank percentiles (the sample at index q * (n - 1)) and the share
+ * of samples under 1 ms. An empty sample summarizes to all zeros.
+ * Exact over the raw ticks, unlike LatencyHistogram's bucketed
+ * quantiles.
+ */
+struct LatencySummary
+{
+    double meanUs = 0.0;
+    double p50Us = 0.0;
+    double p95Us = 0.0;
+    double p99Us = 0.0;
+    double p999Us = 0.0;
+    double subMsFraction = 0.0;
+};
+
+/** @pre @p sorted is sorted ascending. */
+LatencySummary summarizeSorted(const std::vector<Tick> &sorted);
+
 } // namespace mercury::stats
 
 #endif // MERCURY_SIM_STATS_HH

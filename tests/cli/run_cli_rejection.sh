@@ -4,8 +4,12 @@
 # with a guessed value. Drives one sweep bench through bench::Session.
 #
 #   --jobs=abc / 2x / -3 / 99999999999  exit 2, "invalid --jobs value"
+#   --sample-interval=abc / 0 / -5 / 2x / 99999999999999999999 /
+#     99999999999999 (fits a uint64, its tick count does not)
+#                                       exit 2, "invalid --sample-interval value"
 #   --shards=4 (removed)                exit 2, "unknown flag"
 #   --smoke --jobs=0 (all hw threads)   exit 0
+#   --smoke --sample-interval=500       exit 0
 #
 # With --datapath-flags the bench must also declare --nic-cache-mb
 # (bench/datapath_flags.hh), and these must be rejected the same way:
@@ -49,6 +53,12 @@ expect_reject() {
 for value in abc 2x -3 99999999999; do
     expect_reject "--jobs=$value" "invalid --jobs value '$value'"
 done
+# 99999999999999999999 overflows a uint64; 99999999999999 fits one
+# but its tick count (x 10^6) does not.
+for value in abc 0 -5 2x 99999999999999999999 99999999999999; do
+    expect_reject "--sample-interval=$value" \
+        "invalid --sample-interval value '$value'"
+done
 expect_reject "--shards=4" "unknown flag '--shards'"
 
 if [ -n "$datapath_flags" ]; then
@@ -73,6 +83,7 @@ expect_ok() {
 }
 
 expect_ok --smoke --jobs=0
+expect_ok --smoke --sample-interval=500
 if [ -n "$datapath_flags" ]; then
     expect_ok --smoke --jobs=0 --nic-cache-mb=0.5
 fi

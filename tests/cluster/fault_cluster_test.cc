@@ -40,6 +40,10 @@ TEST(ConsistentHashRing, NodesForStartsAtOwnerAndIsDistinct)
         const auto order = ring.nodesFor(key, 3);
         ASSERT_EQ(order.size(), 3u);
         EXPECT_EQ(order[0], ring.nodeFor(key));
+        // The index form names the same owner (nodes were added in
+        // index order).
+        EXPECT_EQ("node" + std::to_string(ring.nodeIndexFor(key)),
+                  ring.nodeFor(key));
         EXPECT_NE(order[0], order[1]);
         EXPECT_NE(order[1], order[2]);
         EXPECT_NE(order[0], order[2]);
@@ -212,6 +216,33 @@ TEST(ClusterSimFaults, ZeroRatesBehaveLikeACleanRun)
     EXPECT_EQ(r.crashes, 0u);
     EXPECT_EQ(r.netDrops, 0u);
     EXPECT_EQ(sim.injector().faultCount(), 0u);
+}
+
+TEST(ClusterSimFaults, QuietFaultModeMatchesFaultsOff)
+{
+    // Fault mode with nothing injected walks the same client path as
+    // a fault-off run, so every modeled outcome agrees exactly; only
+    // the fault-mode diagnostic maxOutstanding differs.
+    ClusterSimParams off_params = faultyCluster(0.0, 0.0);
+    off_params.faults.enabled = false;
+    ClusterSim quiet(faultyCluster(0.0, 0.0));
+    ClusterSim off(off_params);
+    const double offered = 0.3 * quiet.aggregateCapacity();
+    const ClusterSimResult rq = quiet.run(offered);
+    const ClusterSimResult ro = off.run(offered);
+
+    EXPECT_EQ(rq.avgLatencyUs, ro.avgLatencyUs);
+    EXPECT_EQ(rq.p99LatencyUs, ro.p99LatencyUs);
+    EXPECT_EQ(rq.p999LatencyUs, ro.p999LatencyUs);
+    EXPECT_EQ(rq.subMsFraction, ro.subMsFraction);
+    EXPECT_EQ(rq.hottestNodeShare, ro.hottestNodeShare);
+    EXPECT_EQ(rq.hotNodeTailAmplification,
+              ro.hotNodeTailAmplification);
+    EXPECT_EQ(rq.hitRate, ro.hitRate);
+    EXPECT_EQ(rq.ok, ro.ok);
+    EXPECT_EQ(rq.requests, ro.requests);
+    EXPECT_GT(rq.maxOutstanding, 0u);
+    EXPECT_EQ(ro.maxOutstanding, 0u);
 }
 
 TEST(ClusterSimFaults, PacketLossRaisesTailAndRetransmits)

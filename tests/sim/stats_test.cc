@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <vector>
 
 #include "sim/stats.hh"
 
@@ -120,6 +121,31 @@ TEST(Registry, RepeatedDumpsReuseTheBuffer)
     registry.writeJson(last);
     EXPECT_EQ(first.str(), last.str())
         << "buffer reuse must not leak bytes between dumps";
+}
+
+TEST(LatencySummary, NearestRankOverSortedTicks)
+{
+    // 0..99 us plus one 2 ms outlier: 101 samples, index q * 100.
+    std::vector<mercury::Tick> sorted;
+    for (mercury::Tick us = 0; us < 100; ++us)
+        sorted.push_back(us * mercury::tickUs);
+    sorted.push_back(2 * mercury::tickMs);
+
+    const LatencySummary s = summarizeSorted(sorted);
+    EXPECT_DOUBLE_EQ(s.meanUs, (4950.0 + 2000.0) / 101.0);
+    EXPECT_EQ(s.p50Us, 50.0);
+    EXPECT_EQ(s.p95Us, 95.0);
+    EXPECT_EQ(s.p99Us, 99.0);
+    EXPECT_EQ(s.p999Us, 99.0);  // index 99.9 truncates to 99
+    EXPECT_DOUBLE_EQ(s.subMsFraction, 100.0 / 101.0);
+}
+
+TEST(LatencySummary, EmptySampleIsAllZero)
+{
+    const LatencySummary s = summarizeSorted({});
+    EXPECT_EQ(s.meanUs, 0.0);
+    EXPECT_EQ(s.p99Us, 0.0);
+    EXPECT_EQ(s.subMsFraction, 0.0);
 }
 
 } // anonymous namespace
