@@ -107,10 +107,18 @@ CoreModel::run(const OpTrace &trace, Tick start)
 
     auto wait_for_one_slot = [&](unsigned window) {
         while (outstanding_.size() >= window) {
-            auto earliest = std::min_element(outstanding_.begin(),
-                                             outstanding_.end());
-            cursor = std::max(cursor, *earliest);
-            outstanding_.erase(earliest);
+            // A select, not a branch, per slot: miss completions
+            // arrive in no predictable order.
+            std::size_t earliest = 0;
+            for (std::size_t i = 1; i < outstanding_.size(); ++i) {
+                earliest = outstanding_[i] < outstanding_[earliest]
+                               ? i
+                               : earliest;
+            }
+            cursor = std::max(cursor, outstanding_[earliest]);
+            // Order within the window is irrelevant: swap-and-pop.
+            outstanding_[earliest] = outstanding_.back();
+            outstanding_.pop_back();
         }
     };
 

@@ -30,98 +30,40 @@ SetAssocCache::SetAssocCache(const CacheParams &params)
     lines_.resize(static_cast<std::size_t>(numSets_) * params_.assoc);
 }
 
-SetAssocCache::Line *
-SetAssocCache::findLine(Addr addr)
+std::optional<Victim>
+SetAssocCache::fill(Addr addr, unsigned way, bool dirty)
 {
-    const std::uint64_t tag = tagOf(addr);
-    Line *set = &lines_[setIndex(addr) * params_.assoc];
-    for (unsigned way = 0; way < params_.assoc; ++way) {
-        if (set[way].valid && set[way].tag == tag)
-            return &set[way];
+    Line &line = setWays(addr)[way];
+    std::optional<Victim> victim;
+    if (line.valid) {
+        const std::uint64_t victim_line_number =
+            (line.tag << setShift_) | setIndex(addr);
+        victim = Victim{victim_line_number << lineShift_, line.dirty};
     }
-    return nullptr;
-}
 
-const SetAssocCache::Line *
-SetAssocCache::findLine(Addr addr) const
-{
-    return const_cast<SetAssocCache *>(this)->findLine(addr);
-}
-
-bool
-SetAssocCache::touch(Addr addr, bool dirty)
-{
-    Line *line = findLine(addr);
-    if (!line)
-        return false;
-    line->lruStamp = nextStamp_++;
-    line->dirty = line->dirty || dirty;
-    return true;
-}
-
-bool
-SetAssocCache::contains(Addr addr) const
-{
-    return findLine(addr) != nullptr;
+    line.valid = true;
+    line.dirty = dirty;
+    line.tag = tagOf(addr);
+    line.lruStamp = nextStamp_++;
+    return victim;
 }
 
 std::optional<Victim>
 SetAssocCache::insert(Addr addr, bool dirty)
 {
-    Line *set = &lines_[setIndex(addr) * params_.assoc];
-    const std::uint64_t tag = tagOf(addr);
-
-    // Already present: just refresh.
-    for (unsigned way = 0; way < params_.assoc; ++way) {
-        if (set[way].valid && set[way].tag == tag) {
-            set[way].lruStamp = nextStamp_++;
-            set[way].dirty = set[way].dirty || dirty;
-            return std::nullopt;
-        }
-    }
-
-    // Prefer an invalid way; otherwise evict true-LRU.
-    Line *victim_line = &set[0];
-    for (unsigned way = 0; way < params_.assoc; ++way) {
-        if (!set[way].valid) {
-            victim_line = &set[way];
-            break;
-        }
-        if (set[way].lruStamp < victim_line->lruStamp)
-            victim_line = &set[way];
-    }
-
-    std::optional<Victim> victim;
-    if (victim_line->valid) {
-        const std::uint64_t victim_line_number =
-            (victim_line->tag << setShift_) | setIndex(addr);
-        victim = Victim{victim_line_number << lineShift_,
-                        victim_line->dirty};
-    }
-
-    victim_line->valid = true;
-    victim_line->dirty = dirty;
-    victim_line->tag = tag;
-    victim_line->lruStamp = nextStamp_++;
-    return victim;
-}
-
-bool
-SetAssocCache::markDirty(Addr addr)
-{
-    Line *line = findLine(addr);
-    if (!line)
-        return false;
-    line->dirty = true;
-    return true;
+    // Already present: probe has refreshed it.
+    const Probe p = probe(addr, dirty);
+    if (p.hit)
+        return std::nullopt;
+    return fill(addr, p.way, dirty);
 }
 
 void
 SetAssocCache::invalidate(Addr addr)
 {
-    Line *line = findLine(addr);
-    if (line)
-        line->valid = false;
+    const Probe p = scan(addr);
+    if (p.hit)
+        setWays(addr)[p.way].valid = false;
 }
 
 void
@@ -153,77 +95,44 @@ CacheHierarchy::CacheHierarchy(const HierarchyParams &params,
 }
 
 AccessResult
-CacheHierarchy::fillFromBelow(Addr line_addr, bool store, Tick now)
+CacheHierarchy::fillFromBelow(SetAssocCache &l1, unsigned way,
+                              Addr line_addr, bool store, Tick now)
 {
     const unsigned line_bytes = params_.l1d.lineBytes;
 
+    AccessResult below;
     if (l2_) {
         const Tick after_l2 = now + params_.l2.hitLatency;
-        if (l2_->touch(line_addr, store)) {
+        const SetAssocCache::Probe l2_probe = l2_->probe(line_addr, store);
+        if (l2_probe.hit) {
             ++l2Hits_;
-            return {after_l2, ServicedBy::L2};
+            below = {after_l2, ServicedBy::L2};
+        } else {
+            ++l2Misses_;
+            ++memAccesses_;
+            const Tick mem_done = memory_->access(
+                AccessType::Read, line_addr, line_bytes, after_l2);
+            auto victim = l2_->fill(line_addr, l2_probe.way, store);
+            if (victim && victim->dirty) {
+                ++writebacks_;
+                // Off the critical path: occupies the device after
+                // the demand fill completes.
+                memory_->access(AccessType::Write, victim->lineAddr,
+                                line_bytes, mem_done);
+            }
+            below = {mem_done, ServicedBy::Memory};
         }
-        ++l2Misses_;
+    } else {
         ++memAccesses_;
         const Tick mem_done = memory_->access(AccessType::Read, line_addr,
-                                              line_bytes, after_l2);
-        auto victim = l2_->insert(line_addr, store);
-        if (victim && victim->dirty) {
-            ++writebacks_;
-            // Off the critical path: occupies the device after the
-            // demand fill completes.
-            memory_->access(AccessType::Write, victim->lineAddr,
-                            line_bytes, mem_done);
-        }
-        return {mem_done, ServicedBy::Memory};
+                                              line_bytes, now);
+        below = {mem_done, ServicedBy::Memory};
     }
 
-    ++memAccesses_;
-    const Tick mem_done = memory_->access(AccessType::Read, line_addr,
-                                          line_bytes, now);
-    return {mem_done, ServicedBy::Memory};
-}
-
-AccessResult
-CacheHierarchy::access(CpuAccessKind kind, Addr addr, Tick now)
-{
-    SetAssocCache &l1 = kind == CpuAccessKind::IFetch ? l1i_ : l1d_;
-    stats::Scalar &hits =
-        kind == CpuAccessKind::IFetch ? l1iHits_ : l1dHits_;
-    stats::Scalar &misses =
-        kind == CpuAccessKind::IFetch ? l1iMisses_ : l1dMisses_;
-
-    const bool store = kind == CpuAccessKind::Store;
-    const bool dirtying = store && !params_.writeThroughStores;
-    const Tick after_l1 = now + l1.params().hitLatency;
-
-    if (l1.touch(addr, dirtying)) {
-        ++hits;
-        if (store && params_.writeThroughStores) {
-            ++memAccesses_;
-            const Tick done = memory_->access(
-                AccessType::Write, addr, l1.params().lineBytes,
-                after_l1);
-            return {done, ServicedBy::Memory};
-        }
-        return {after_l1, ServicedBy::L1};
-    }
-
-    ++misses;
-    if (store && params_.writeThroughStores) {
-        // No write-allocate in write-through mode: the store goes
-        // straight to the device.
-        ++memAccesses_;
-        const Tick done = memory_->access(AccessType::Write, addr,
-                                          l1.params().lineBytes,
-                                          after_l1);
-        return {done, ServicedBy::Memory};
-    }
-    AccessResult below = fillFromBelow(addr, store, after_l1);
-
-    auto victim = l1.insert(addr, store);
+    auto victim = l1.fill(line_addr, way, store);
     if (victim && victim->dirty) {
         ++writebacks_;
+        // Checked insert: the victim may already be in L2.
         if (l2_) {
             l2_->insert(victim->lineAddr, true);
         } else {
@@ -231,8 +140,16 @@ CacheHierarchy::access(CpuAccessKind kind, Addr addr, Tick now)
                             l1.params().lineBytes, below.completion);
         }
     }
-
     return below;
+}
+
+AccessResult
+CacheHierarchy::writeThrough(Addr addr, Tick now)
+{
+    ++memAccesses_;
+    const Tick done = memory_->access(AccessType::Write, addr,
+                                      params_.l1d.lineBytes, now);
+    return {done, ServicedBy::Memory};
 }
 
 void

@@ -52,27 +52,62 @@ struct Victim
 class SetAssocCache
 {
   public:
+    /**
+     * Outcome of one tag scan. On a hit, @c way holds the line; on a
+     * miss it is the way a fill would replace: the first invalid way,
+     * else the true-LRU way.
+     */
+    struct Probe
+    {
+        bool hit;
+        unsigned way;
+    };
+
     explicit SetAssocCache(const CacheParams &params);
+
+    /**
+     * Probe for a line. On a hit updates LRU and, when @p dirty,
+     * marks the line dirty. On a miss the same scan picks the victim
+     * way, which fill() installs into without scanning again.
+     */
+    Probe
+    probe(Addr addr, bool dirty)
+    {
+        const Probe p = scan(addr);
+        if (p.hit) {
+            Line &line = setWays(addr)[p.way];
+            line.lruStamp = nextStamp_++;
+            line.dirty = line.dirty || dirty;
+        }
+        return p;
+    }
+
+    /**
+     * Install the line containing @p addr into the way a missing
+     * probe() returned. Valid only while the set is unchanged since
+     * that probe.
+     *
+     * @return the displaced line, if a valid line was evicted.
+     */
+    std::optional<Victim> fill(Addr addr, unsigned way, bool dirty);
 
     /** Probe for a line; updates LRU on hit. */
     bool lookup(Addr addr) { return touch(addr, false); }
 
     /** Probe for a line; on a hit updates LRU and, when @p dirty,
-     * marks the line dirty. One tag scan. */
-    bool touch(Addr addr, bool dirty);
+     * marks the line dirty. */
+    bool touch(Addr addr, bool dirty) { return probe(addr, dirty).hit; }
 
     /** Probe without disturbing replacement state. */
-    bool contains(Addr addr) const;
+    bool contains(Addr addr) const { return scan(addr).hit; }
 
     /**
-     * Install the line containing addr.
+     * Install the line containing addr; a present line is refreshed
+     * in place.
      *
      * @return the displaced line, if a valid line was evicted.
      */
     std::optional<Victim> insert(Addr addr, bool dirty);
-
-    /** Mark a (present) line dirty; returns false if absent. */
-    bool markDirty(Addr addr);
 
     /** Remove a line if present (used for invalidations). */
     void invalidate(Addr addr);
@@ -102,8 +137,41 @@ class SetAssocCache
     {
         return lineAddr(addr) >> setShift_;
     }
-    Line *findLine(Addr addr);
-    const Line *findLine(Addr addr) const;
+    Line *
+    setWays(Addr addr)
+    {
+        return &lines_[setIndex(addr) * params_.assoc];
+    }
+    const Line *
+    setWays(Addr addr) const
+    {
+        return &lines_[setIndex(addr) * params_.assoc];
+    }
+
+    /** The one tag scan: the hit way, or the victim way on a miss.
+     * Touches no replacement state. */
+    Probe
+    scan(Addr addr) const
+    {
+        const std::uint64_t tag = tagOf(addr);
+        const Line *ways = setWays(addr);
+        unsigned invalid = params_.assoc;
+        unsigned lru = 0;
+        for (unsigned way = 0; way < params_.assoc; ++way) {
+            if (!ways[way].valid) {
+                if (invalid == params_.assoc)
+                    invalid = way;
+            } else if (ways[way].tag == tag) {
+                return {true, way};
+            } else if (ways[way].lruStamp < ways[lru].lruStamp) {
+                lru = way;
+            }
+        }
+        // Valid lines carry distinct stamps, so the LRU way is unique.
+        // lru starts at way 0 even if way 0 is invalid, but then an
+        // invalid way exists and wins.
+        return {false, invalid != params_.assoc ? invalid : lru};
+    }
 
     CacheParams params_;
     unsigned numSets_;
@@ -161,7 +229,8 @@ class CacheHierarchy : public SimObject
     CacheHierarchy(const HierarchyParams &params, MemDevice *memory,
                    stats::StatGroup *parent = nullptr);
 
-    /** Issue one access at absolute tick @p now. */
+    /** Issue one access at absolute tick @p now. Defined below, so
+     * the core's per-line walk can inline the L1 hit path. */
     AccessResult access(CpuAccessKind kind, Addr addr, Tick now);
 
     /** Drop all cached state (e.g. between measurement phases). */
@@ -183,8 +252,15 @@ class CacheHierarchy : public SimObject
     void reset() override;
 
   private:
-    /** Service a miss from the level below L1. */
-    AccessResult fillFromBelow(Addr line_addr, bool store, Tick now);
+    /**
+     * Service an L1 miss from the level below and install the line
+     * into way @p way of @p l1, the victim way its probe picked.
+     */
+    AccessResult fillFromBelow(SetAssocCache &l1, unsigned way,
+                               Addr line_addr, bool store, Tick now);
+
+    /** A write-through store: forwarded to the device, no allocate. */
+    AccessResult writeThrough(Addr addr, Tick now);
 
     HierarchyParams params_;
     MemDevice *memory_;
@@ -203,6 +279,31 @@ class CacheHierarchy : public SimObject
     stats::Scalar writebacks_;
     stats::Scalar memAccesses_;
 };
+
+inline AccessResult
+CacheHierarchy::access(CpuAccessKind kind, Addr addr, Tick now)
+{
+    const bool ifetch = kind == CpuAccessKind::IFetch;
+    SetAssocCache &l1 = ifetch ? l1i_ : l1d_;
+    const bool store = kind == CpuAccessKind::Store;
+    const bool write_through = store && params_.writeThroughStores;
+    const Tick after_l1 = now + l1.params().hitLatency;
+
+    const SetAssocCache::Probe l1_probe =
+        l1.probe(addr, store && !write_through);
+    if (l1_probe.hit) {
+        ++(ifetch ? l1iHits_ : l1dHits_);
+        return write_through ? writeThrough(addr, after_l1)
+                             : AccessResult{after_l1, ServicedBy::L1};
+    }
+
+    ++(ifetch ? l1iMisses_ : l1dMisses_);
+    // No write-allocate in write-through mode: the store goes
+    // straight to the device.
+    if (write_through)
+        return writeThrough(addr, after_l1);
+    return fillFromBelow(l1, l1_probe.way, addr, store, after_l1);
+}
 
 } // namespace mercury::mem
 

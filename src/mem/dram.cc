@@ -1,6 +1,7 @@
 #include "mem/dram.hh"
 
 #include <algorithm>
+#include <bit>
 
 #include "sim/logging.hh"
 
@@ -21,39 +22,31 @@ DramModel::DramModel(const DramParams &params, stats::StatGroup *parent)
       refreshStallTicks_(&statGroup_, "refreshStallTicks",
                          "ticks stalled behind refresh windows")
 {
-    mercury_assert(params_.numPorts > 0, "DRAM needs at least one port");
-    mercury_assert(params_.banksPerPort > 0,
-                   "DRAM needs at least one bank per port");
-    mercury_assert(params_.capacity % params_.numPorts == 0,
-                   "capacity must divide evenly across ports");
+    mercury_assert(std::has_single_bit(params_.capacity),
+                   "DRAM capacity must be a power of two");
+    mercury_assert(std::has_single_bit(params_.numPorts),
+                   "DRAM port count must be a power of two");
+    mercury_assert(std::has_single_bit(params_.banksPerPort),
+                   "DRAM banks per port must be a power of two");
+    mercury_assert(std::has_single_bit(params_.rowBytes),
+                   "DRAM row size must be a power of two");
 
-    portSize_ = params_.capacity / params_.numPorts;
-    bankSize_ = portSize_ / params_.banksPerPort;
-    mercury_assert(bankSize_ >= params_.rowBytes,
+    const std::uint64_t port_size = params_.capacity / params_.numPorts;
+    const std::uint64_t bank_size = port_size / params_.banksPerPort;
+    mercury_assert(bank_size >= params_.rowBytes,
                    "bank smaller than one row");
+
+    portShift_ = static_cast<unsigned>(std::countr_zero(port_size));
+    bankShift_ = static_cast<unsigned>(std::countr_zero(bank_size));
+    rowShift_ = static_cast<unsigned>(std::countr_zero(params_.rowBytes));
+    capacityMask_ = params_.capacity - 1;
+    portMask_ = params_.numPorts - 1;
+    bankMask_ = params_.banksPerPort - 1;
+    lineTransfer_ = transferTime(64);
 
     ports_.resize(params_.numPorts);
     for (auto &port : ports_)
         port.banks.resize(params_.banksPerPort);
-}
-
-unsigned
-DramModel::portIndex(Addr addr) const
-{
-    return static_cast<unsigned>((addr / portSize_) % params_.numPorts);
-}
-
-unsigned
-DramModel::bankIndex(Addr addr) const
-{
-    return static_cast<unsigned>((addr / bankSize_) %
-                                 params_.banksPerPort);
-}
-
-std::int64_t
-DramModel::rowIndex(Addr addr) const
-{
-    return static_cast<std::int64_t>(addr / params_.rowBytes);
 }
 
 Tick
@@ -68,10 +61,10 @@ Tick
 DramModel::access(AccessType type, Addr addr, unsigned size, Tick now)
 {
     mercury_assert(size > 0, "zero-size DRAM access");
-    addr %= params_.capacity;
+    addr &= capacityMask_;
 
-    Port &port = ports_[portIndex(addr)];
-    Bank &bank = port.banks[bankIndex(addr)];
+    Port &port = ports_[(addr >> portShift_) & portMask_];
+    Bank &bank = port.banks[(addr >> bankShift_) & bankMask_];
 
     // Bank-level parallelism: an access only waits for its own bank;
     // the shared port pins are occupied just for the data transfer.
@@ -88,7 +81,7 @@ DramModel::access(AccessType type, Addr addr, unsigned size, Tick now)
     }
 
     Tick array_latency;
-    const std::int64_t row = rowIndex(addr);
+    const auto row = static_cast<std::int64_t>(addr >> rowShift_);
     if (params_.pagePolicy == PagePolicy::Open && bank.openRow == row) {
         array_latency = params_.rowHitLatency;
         ++rowHits_;
@@ -98,7 +91,7 @@ DramModel::access(AccessType type, Addr addr, unsigned size, Tick now)
         bank.openRow = params_.pagePolicy == PagePolicy::Open ? row : -1;
     }
 
-    const Tick transfer = transferTime(size);
+    const Tick transfer = size == 64 ? lineTransfer_ : transferTime(size);
     const Tick transfer_start =
         std::max(start + array_latency, port.busyUntil);
     const Tick done = transfer_start + transfer;
@@ -121,7 +114,7 @@ DramModel::access(AccessType type, Addr addr, unsigned size, Tick now)
 Tick
 DramModel::idleReadLatency() const
 {
-    return params_.arrayLatency + transferTime(64);
+    return params_.arrayLatency + lineTransfer_;
 }
 
 double

@@ -34,7 +34,9 @@ enum class PagePolicy
     Open,
 };
 
-/** Static configuration of a DramModel. */
+/** Static configuration of a DramModel. Capacity, port count, banks
+ * per port and row size must be powers of two, so the model indexes
+ * ports, banks and rows with shifts and masks. */
 struct DramParams
 {
     std::string name = "dram";
@@ -119,14 +121,19 @@ class DramModel : public MemDevice
         std::vector<Bank> banks;
     };
 
-    unsigned portIndex(Addr addr) const;
-    unsigned bankIndex(Addr addr) const;
-    std::int64_t rowIndex(Addr addr) const;
     Tick transferTime(unsigned size) const;
 
     DramParams params_;
-    std::uint64_t portSize_;
-    std::uint64_t bankSize_;
+    /** log2 of the port and bank slice sizes and of the row size. */
+    unsigned portShift_;
+    unsigned bankShift_;
+    unsigned rowShift_;
+    /** capacity - 1, numPorts - 1 and banksPerPort - 1. */
+    std::uint64_t capacityMask_;
+    std::uint64_t portMask_;
+    std::uint64_t bankMask_;
+    /** transferTime(64), the cache-line transfer every fill makes. */
+    Tick lineTransfer_;
     std::vector<Port> ports_;
 
     stats::StatGroup statGroup_;

@@ -2,7 +2,9 @@
  * @file
  * Seeded fuzz of SetAssocCache against the division-based reference
  * model: identical operation streams must give identical hits,
- * victims (address and dirty bit) and residency answers.
+ * victims (address and dirty bit) and residency answers. A
+ * probe-then-fill pair, the hierarchy's single-scan miss path, must
+ * match the reference's touch followed by its two-scan insert.
  */
 
 #include <gtest/gtest.h>
@@ -69,27 +71,37 @@ TEST_P(CacheReferenceFuzz, MatchesReferenceModel)
     for (int i = 0; i < 40'000; ++i) {
         const Addr addr = fuzzAddr(rng, num_sets, assoc);
         const std::uint64_t pick = rng.nextInt(1000);
-        if (pick < 300) {
+        if (pick < 250) {
             const bool dirty = rng.nextBool(0.3);
             const auto a = fast.insert(addr, dirty);
             const auto b = ref.insert(addr, dirty);
             ASSERT_EQ(describe(a), describe(b))
                 << "insert #" << i << " addr " << addr;
             victims += a.has_value();
-        } else if (pick < 500) {
+        } else if (pick < 400) {
             const bool hit = fast.lookup(addr);
             ASSERT_EQ(hit, ref.lookup(addr))
                 << "lookup #" << i << " addr " << addr;
             hits += hit;
-        } else if (pick < 700) {
+        } else if (pick < 550) {
             const bool dirty = rng.nextBool(0.5);
             const bool hit = fast.touch(addr, dirty);
             ASSERT_EQ(hit, ref.touch(addr, dirty))
                 << "touch #" << i << " addr " << addr;
             hits += hit;
         } else if (pick < 800) {
-            ASSERT_EQ(fast.markDirty(addr), ref.markDirty(addr))
-                << "markDirty #" << i << " addr " << addr;
+            const bool dirty = rng.nextBool(0.3);
+            const SetAssocCache::Probe p = fast.probe(addr, dirty);
+            ASSERT_EQ(p.hit, ref.touch(addr, dirty))
+                << "probe #" << i << " addr " << addr;
+            hits += p.hit;
+            if (!p.hit) {
+                const auto a = fast.fill(addr, p.way, dirty);
+                const auto b = ref.insert(addr, dirty);
+                ASSERT_EQ(describe(a), describe(b))
+                    << "fill #" << i << " addr " << addr;
+                victims += a.has_value();
+            }
         } else if (pick < 920) {
             ASSERT_EQ(fast.contains(addr), ref.contains(addr))
                 << "contains #" << i << " addr " << addr;

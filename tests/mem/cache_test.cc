@@ -80,8 +80,8 @@ TEST(SetAssocCache, MarkDirtyOnPresentLine)
 {
     SetAssocCache cache(tinyCache(1, 1));
     cache.insert(0x0, false);
-    EXPECT_TRUE(cache.markDirty(0x0));
-    EXPECT_FALSE(cache.markDirty(0x9999999));
+    EXPECT_TRUE(cache.touch(0x0, true));
+    EXPECT_FALSE(cache.touch(0x9999999, true));
 
     auto victim = cache.insert(16 * 64, false);
     ASSERT_TRUE(victim.has_value());

@@ -157,6 +157,27 @@ TEST(DramModel, RejectsZeroSizeAccess)
     EXPECT_THROW(dram.access(AccessType::Read, 0, 0, 0), SimFatalError);
 }
 
+TEST(DramModel, RejectsNonPowerOfTwoGeometry)
+{
+    // Ports, banks and rows are indexed with shifts and masks.
+    ScopedLogCapture capture;
+    DramParams ports = stackedDramParams();
+    ports.numPorts = 12;
+    EXPECT_THROW(DramModel{ports}, SimFatalError);
+
+    DramParams rows = stackedDramParams();
+    rows.rowBytes = 1000;
+    EXPECT_THROW(DramModel{rows}, SimFatalError);
+
+    DramParams banks = stackedDramParams();
+    banks.banksPerPort = 6;
+    EXPECT_THROW(DramModel{banks}, SimFatalError);
+
+    DramParams capacity = stackedDramParams();
+    capacity.capacity = 3 * giB;
+    EXPECT_THROW(DramModel{capacity}, SimFatalError);
+}
+
 class DramBandwidthTest : public ::testing::TestWithParam<unsigned>
 {};
 
