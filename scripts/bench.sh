@@ -10,6 +10,8 @@
 #   - kv-store GET/SET ops/sec through the server timing model;
 #   - datapath request walk reqs/sec: kernel path vs the batched
 #     bypass fast path (host-side cost of the batching bookkeeping);
+#   - cluster GET path reqs/sec: a bypass ClusterSim with NIC GET
+#     caches (ring lookup + NIC-cache hit per request);
 #   - fig5-style sweep wall-clock, serial vs --jobs N.
 #
 # Numbers are host-dependent; nothing here is golden, but the

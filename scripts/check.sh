@@ -187,6 +187,7 @@ for section, keys in {
     "store": ["ops_per_sec"],
     "datapath": ["kernel_reqs_per_sec", "bypass_reqs_per_sec",
                  "batched_reqs_per_sec", "batching_speedup"],
+    "cluster": ["bypass_reqs_per_sec"],
     "sweep": ["serial_ms", "parallel_ms", "speedup", "jobs"],
 }.items():
     for key in keys:

@@ -101,13 +101,10 @@ ClusterSim::effectiveReplication() const
         static_cast<unsigned>(nodes_.size()));
 }
 
-std::vector<std::string>
-ClusterSim::replicaOrder(std::string_view key,
-                         std::size_t count) const
+bool
+ClusterSim::rackSpreadReplicas() const
 {
-    if (params_.resilience.rackAwareReplicas && params_.racks >= 2)
-        return ring_.replicasFor(key, count, true);
-    return ring_.nodesFor(key, count);
+    return params_.resilience.rackAwareReplicas && params_.racks >= 2;
 }
 
 void
@@ -116,17 +113,18 @@ ClusterSim::populate()
     if (populated_)
         return;
     const unsigned replication = effectiveReplication();
+    const bool rack_spread = rackSpreadReplicas();
+    std::vector<std::size_t> replicas;
     for (std::uint64_t id = 0; id < params_.numKeys; ++id) {
         const std::string key = keyFor(id);
         if (replication == 1) {
             nodes_[ring_.nodeIndexFor(key)]->put(key,
                                                  params_.valueBytes);
         } else {
-            for (const std::string &name :
-                 replicaOrder(key, replication)) {
-                nodes_[indexOfName(name)]->put(key,
-                                               params_.valueBytes);
-            }
+            ring_.nodeIndicesFor(key, replication, rack_spread,
+                                 replicas);
+            for (const std::size_t index : replicas)
+                nodes_[index]->put(key, params_.valueBytes);
         }
     }
     populated_ = true;
@@ -340,6 +338,7 @@ ClusterSim::run(double offered_tps)
         replication, static_cast<std::size_t>(fp.maxRetries) + 1);
     std::vector<std::size_t> order;
     order.reserve(fan);
+    const bool rack_spread = rackSpreadReplicas();
 
     Tick arrival = origin;
     for (unsigned i = 0; i < params_.warmup + params_.requests;
@@ -463,11 +462,10 @@ ClusterSim::run(double offered_tps)
         // and failover order is only needed when a second node can
         // be asked: replicas exist, or the primary is down.
         const std::size_t primary = ring_.nodeIndexFor(key);
-        order.clear();
         if (replication >= 2 || !up[primary]) {
-            for (const std::string &name : replicaOrder(key, fan))
-                order.push_back(indexOfName(name));
+            ring_.nodeIndicesFor(key, fan, rack_spread, order);
         } else {
+            order.clear();
             order.push_back(primary);
         }
         ++issued;

@@ -302,7 +302,7 @@ class ClusterSim
 
   private:
     std::string keyFor(std::uint64_t key_id) const;
-    /** Node index of a name (fault-plan targets, replica orders). */
+    /** Node index of a name (fault-plan targets). */
     std::size_t indexOfName(const std::string &name) const;
 
     /** Master timeline digest chained through every per-node
@@ -312,10 +312,10 @@ class ClusterSim
     /** Replicas clamped to the cluster size (>= 1). */
     unsigned effectiveReplication() const;
 
-    /** Failover/replica order for a key: plain ring successors, or
-     * the rack-spread variant when configured. */
-    std::vector<std::string> replicaOrder(std::string_view key,
-                                          std::size_t count) const;
+    /** Whether replica and failover orders spread across racks
+     * (ConsistentHashRing::nodeIndicesFor's distinct_racks) rather
+     * than follow plain ring successors. */
+    bool rackSpreadReplicas() const;
 
     ClusterSimParams params_;
     /** Nodes are added in index order and never removed, so a ring

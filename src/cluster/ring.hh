@@ -12,6 +12,7 @@
 #ifndef MERCURY_CLUSTER_RING_HH
 #define MERCURY_CLUSTER_RING_HH
 
+#include <cstddef>
 #include <cstdint>
 #include <map>
 #include <string>
@@ -67,6 +68,17 @@ class ConsistentHashRing
                                       std::size_t count) const;
 
     /**
+     * Index form of replicasFor() (nodesFor() when
+     * @p distinct_racks is false): writes the node indices into
+     * @p out, replacing its contents, so a caller that keeps @p out
+     * across requests allocates nothing on the plain path.
+     * @pre at least one node present.
+     */
+    void nodeIndicesFor(std::string_view key, std::size_t count,
+                        bool distinct_racks,
+                        std::vector<std::size_t> &out) const;
+
+    /**
      * Replica set for a key: the first @p count distinct nodes in
      * ring order, optionally spread across failure domains. With
      * @p distinct_racks, after the primary each successive replica
@@ -102,12 +114,35 @@ class ConsistentHashRing
                                   std::uint64_t seed = 2) const;
 
   private:
+    /** Index of the first ring point at or after @p point, wrapping
+     * to 0 past the last one. */
+    std::size_t
+    pointIndexFor(std::uint64_t point) const
+    {
+        std::size_t i = buckets_[point >> bucketShift_];
+        while (i < points_.size() && points_[i] < point)
+            ++i;
+        return i == points_.size() ? 0 : i;
+    }
+
+    /** Refill buckets_ after points_ changed. */
+    void rebuildBuckets();
+
     unsigned virtualNodes_;
     std::vector<std::string> nodes_;
     /** Rack label per node, parallel to nodes_. */
     std::vector<unsigned> racks_;
-    /** hash point -> node index. */
-    std::map<std::uint64_t, std::size_t> ring_;
+    /** Ring points in ascending order, each present once, and the
+     * index of the node owning each (parallel arrays). */
+    std::vector<std::uint64_t> points_;
+    std::vector<std::uint32_t> owners_;
+    /** Bucket b covers the points whose top bits equal b and holds
+     * the index of the first point at or above the bucket's start,
+     * so a lookup scans at most the points of one bucket. There are
+     * 2^bit_width(points) buckets: fewer than one point each on
+     * average. */
+    std::vector<std::uint32_t> buckets_;
+    unsigned bucketShift_ = 63;
 };
 
 } // namespace mercury::cluster

@@ -59,14 +59,6 @@ SetAssocCache::insert(Addr addr, bool dirty)
 }
 
 void
-SetAssocCache::invalidate(Addr addr)
-{
-    const Probe p = scan(addr);
-    if (p.hit)
-        setWays(addr)[p.way].valid = false;
-}
-
-void
 SetAssocCache::flush()
 {
     for (auto &line : lines_)

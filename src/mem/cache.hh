@@ -91,16 +91,6 @@ class SetAssocCache
      */
     std::optional<Victim> fill(Addr addr, unsigned way, bool dirty);
 
-    /** Probe for a line; updates LRU on hit. */
-    bool lookup(Addr addr) { return touch(addr, false); }
-
-    /** Probe for a line; on a hit updates LRU and, when @p dirty,
-     * marks the line dirty. */
-    bool touch(Addr addr, bool dirty) { return probe(addr, dirty).hit; }
-
-    /** Probe without disturbing replacement state. */
-    bool contains(Addr addr) const { return scan(addr).hit; }
-
     /**
      * Install the line containing addr; a present line is refreshed
      * in place.
@@ -108,9 +98,6 @@ class SetAssocCache
      * @return the displaced line, if a valid line was evicted.
      */
     std::optional<Victim> insert(Addr addr, bool dirty);
-
-    /** Remove a line if present (used for invalidations). */
-    void invalidate(Addr addr);
 
     /** Drop all lines. */
     void flush();

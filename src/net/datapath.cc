@@ -1,5 +1,8 @@
 #include "net/datapath.hh"
 
+#include <algorithm>
+#include <bit>
+
 #include "sim/contract.hh"
 
 namespace mercury::net
@@ -49,34 +52,94 @@ NicGetCache::NicGetCache(const DatapathParams &params,
 {
     MERCURY_EXPECTS(params_.nicCacheEntries > 0,
                     "NicGetCache needs a non-zero capacity");
+    MERCURY_EXPECTS(params_.nicCacheEntries < none,
+                    "NicGetCache slot numbers are 32-bit");
+    slots_.resize(std::size_t{params_.nicCacheEntries} + 1);
+    index_.assign(std::bit_ceil(2 * slots_.size()), none);
+    indexMask_ = index_.size() - 1;
+    clear();
 }
 
 void
-NicGetCache::erase(LruList::iterator it)
+NicGetCache::unlink(std::uint32_t slot)
 {
-    index_.erase(it->key);
-    lru_.erase(it);
+    Slot &s = slots_[slot];
+    (s.prev == none ? mru_ : slots_[s.prev].next) = s.next;
+    (s.next == none ? lru_ : slots_[s.next].prev) = s.prev;
+}
+
+void
+NicGetCache::pushFront(std::uint32_t slot)
+{
+    Slot &s = slots_[slot];
+    s.prev = none;
+    s.next = mru_;
+    (mru_ == none ? lru_ : slots_[mru_].prev) = slot;
+    mru_ = slot;
+}
+
+std::size_t
+NicGetCache::findCell(std::string_view key, std::uint64_t hash) const
+{
+    std::size_t cell = hash & indexMask_;
+    for (;;) {
+        const std::uint32_t slot = index_[cell];
+        if (slot == none ||
+            (slots_[slot].hash == hash && slots_[slot].key == key))
+            return cell;
+        cell = (cell + 1) & indexMask_;
+    }
+}
+
+void
+NicGetCache::erase(std::size_t cell)
+{
+    const std::uint32_t slot = index_[cell];
+    unlink(slot);
+    slots_[slot].next = freeHead_;
+    freeHead_ = slot;
+    --live_;
+    ++free_;
+
+    // Backward-shift deletion: pull each later entry of the probe
+    // run into the hole unless that would move it before its home
+    // cell.
+    std::size_t hole = cell;
+    for (std::size_t next = (hole + 1) & indexMask_;
+         index_[next] != none; next = (next + 1) & indexMask_) {
+        const std::size_t home = slots_[index_[next]].hash & indexMask_;
+        if (((next - home) & indexMask_) >=
+            ((next - hole) & indexMask_)) {
+            index_[hole] = index_[next];
+            hole = next;
+        }
+    }
+    index_[hole] = none;
 }
 
 std::optional<std::string_view>
 NicGetCache::lookup(std::string_view key, std::uint64_t logical_clock)
 {
-    const auto idx = index_.find(key);
-    if (idx == index_.end()) {
+    const std::size_t cell = findCell(key, flowHash(key));
+    const std::uint32_t slot = index_[cell];
+    if (slot == none) {
         ++misses_;
         return std::nullopt;
     }
-    LruList::iterator it = idx->second;
-    if (it->expiry != 0 && it->expiry <= logical_clock) {
+    if (slots_[slot].expiry != 0 &&
+        slots_[slot].expiry <= logical_clock) {
         // The store's copy is gone; serving it would be stale.
         ++invalidations_;
         ++misses_;
-        erase(it);
+        erase(cell);
         return std::nullopt;
     }
-    lru_.splice(lru_.begin(), lru_, it);
+    if (slot != mru_) {
+        unlink(slot);
+        pushFront(slot);
+    }
     ++hits_;
-    return std::string_view(it->value);
+    return std::string_view(slots_[slot].value);
 }
 
 void
@@ -86,45 +149,60 @@ NicGetCache::fill(std::string_view key, std::string_view value,
     if (value.size() > params_.nicCacheMaxValueBytes)
         return;
 
-    const auto idx = index_.find(key);
-    if (idx != index_.end()) {
-        LruList::iterator it = idx->second;
-        it->value.assign(value);
-        it->expiry = expiry;
-        lru_.splice(lru_.begin(), lru_, it);
-        ++fills_;
-        return;
+    const std::uint64_t hash = flowHash(key);
+    const std::size_t cell = findCell(key, hash);
+    std::uint32_t slot = index_[cell];
+    if (slot != none) {
+        unlink(slot);
+    } else {
+        // The pool holds one slot beyond capacity, so a free slot
+        // exists until the eviction below.
+        slot = freeHead_;
+        freeHead_ = slots_[slot].next;
+        --free_;
+        ++live_;
+        slots_[slot].key.assign(key);
+        slots_[slot].hash = hash;
+        index_[cell] = slot;
     }
-
-    lru_.push_front(Entry{std::string(key), std::string(value),
-                          expiry});
-    index_.emplace(lru_.front().key, lru_.begin());
+    slots_[slot].value.assign(value);
+    slots_[slot].expiry = expiry;
+    pushFront(slot);
     ++fills_;
 
-    while (index_.size() > params_.nicCacheEntries) {
+    while (live_ > params_.nicCacheEntries) {
         ++evictions_;
-        erase(std::prev(lru_.end()));
+        erase(findCell(slots_[lru_].key, slots_[lru_].hash));
     }
-    MERCURY_ENSURES(index_.size() == lru_.size(),
-                    "NIC cache index out of sync with LRU list");
+    MERCURY_ENSURES(free_ + live_ == slots_.size(),
+                    "NIC cache slots leaked from the pool");
 }
 
 void
 NicGetCache::invalidate(std::string_view key)
 {
-    const auto idx = index_.find(key);
-    if (idx == index_.end())
+    const std::size_t cell = findCell(key, flowHash(key));
+    if (index_[cell] == none)
         return;
     ++invalidations_;
-    erase(idx->second);
+    erase(cell);
 }
 
 void
 NicGetCache::clear()
 {
-    invalidations_ += index_.size();
-    index_.clear();
-    lru_.clear();
+    invalidations_ += live_;
+    std::fill(index_.begin(), index_.end(), none);
+    for (std::size_t i = 0; i < slots_.size(); ++i) {
+        slots_[i].next = i + 1 < slots_.size()
+                             ? static_cast<std::uint32_t>(i + 1)
+                             : none;
+    }
+    freeHead_ = 0;
+    mru_ = none;
+    lru_ = none;
+    live_ = 0;
+    free_ = slots_.size();
 }
 
 } // namespace mercury::net

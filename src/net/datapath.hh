@@ -42,11 +42,10 @@
 #define MERCURY_NET_DATAPATH_HH
 
 #include <cstdint>
-#include <list>
-#include <map>
 #include <optional>
 #include <string>
 #include <string_view>
+#include <vector>
 
 #include "sim/stats.hh"
 #include "sim/types.hh"
@@ -127,10 +126,18 @@ unsigned rssQueueFor(std::uint64_t flow_hash, unsigned queues);
  * Deterministic NIC-resident GET cache: LRU over (key -> value)
  * with SET/DELETE invalidation and absolute-expiry awareness.
  *
- * Determinism contract: iteration-order-sensitive state lives in a
- * std::list (recency order) indexed by an ordered std::map -- no
- * unordered containers, no pointer keys -- so eviction order is a
- * pure function of the operation sequence.
+ * Storage: a pool of nicCacheEntries + 1 slots allocated once (fill
+ * links the new entry before it evicts), threaded into a recency
+ * list by 32-bit prev/next links, and an open-addressed index of
+ * slot numbers probed linearly from the key's flowHash. Deletion
+ * shifts later probe runs back, so there are no tombstones. A slot
+ * keeps its strings' capacity when it is reused, so a steady-state
+ * fill allocates nothing.
+ *
+ * Determinism contract: eviction order is the recency list's, and
+ * the index is a pure function of the key bytes (no pointer keys,
+ * no seeded hashing), so every outcome is a pure function of the
+ * operation sequence.
  */
 class NicGetCache
 {
@@ -168,7 +175,7 @@ class NicGetCache
     /** Drop everything (flush_all). */
     void clear();
 
-    std::size_t size() const { return index_.size(); }
+    std::size_t size() const { return live_; }
     std::uint64_t hits() const { return hits_.value(); }
     std::uint64_t misses() const { return misses_.value(); }
     std::uint64_t fills() const { return fills_.value(); }
@@ -179,21 +186,46 @@ class NicGetCache
     }
 
   private:
-    struct Entry
+    /** End of a recency list or free list; an empty index cell. */
+    static constexpr std::uint32_t none = ~std::uint32_t{0};
+
+    struct Slot
     {
         std::string key;
         std::string value;
         std::uint64_t expiry = 0;
+        std::uint64_t hash = 0;
+        /** Recency neighbours while live (prev is toward the most
+         * recent end); next chains the free list while free. */
+        std::uint32_t prev = none;
+        std::uint32_t next = none;
     };
 
-    using LruList = std::list<Entry>;
+    /** Index cell holding @p key's slot, or the empty cell where
+     * its probe run ends. */
+    std::size_t findCell(std::string_view key, std::uint64_t hash) const;
 
-    void erase(LruList::iterator it);
+    /** Unlink the slot in index cell @p cell and free it. */
+    void erase(std::size_t cell);
+
+    /** Unlink @p slot from the recency list. */
+    void unlink(std::uint32_t slot);
+
+    /** Link @p slot at the most recent end. */
+    void pushFront(std::uint32_t slot);
 
     DatapathParams params_;
 
-    LruList lru_; ///< front = most recently used
-    std::map<std::string, LruList::iterator, std::less<>> index_;
+    std::vector<Slot> slots_;
+    /** Power-of-two table of slot numbers (none = empty cell), at
+     * least twice the slot count. */
+    std::vector<std::uint32_t> index_;
+    std::size_t indexMask_ = 0;
+    std::uint32_t mru_ = none;
+    std::uint32_t lru_ = none;
+    std::uint32_t freeHead_ = none;
+    std::size_t live_ = 0;
+    std::size_t free_ = 0;
 
     stats::StatGroup group_;
     stats::Counter hits_;

@@ -30,19 +30,22 @@ tinyCache(unsigned size_kib = 1, unsigned assoc = 2)
 TEST(SetAssocCache, MissesWhenEmpty)
 {
     SetAssocCache cache(tinyCache());
-    EXPECT_FALSE(cache.lookup(0x1000));
-    EXPECT_FALSE(cache.contains(0x1000));
+    const SetAssocCache::Probe p = cache.probe(0x1000, false);
+    EXPECT_FALSE(p.hit);
+    EXPECT_EQ(p.way, 0u) << "an empty set fills its first way";
+    EXPECT_FALSE(cache.probe(0x1000, false).hit)
+        << "a missing probe installs nothing";
 }
 
 TEST(SetAssocCache, HitsAfterInsert)
 {
     SetAssocCache cache(tinyCache());
     cache.insert(0x1000, false);
-    EXPECT_TRUE(cache.lookup(0x1000));
+    EXPECT_TRUE(cache.probe(0x1000, false).hit);
     // Any address within the same line also hits.
-    EXPECT_TRUE(cache.lookup(0x103F));
+    EXPECT_TRUE(cache.probe(0x103F, false).hit);
     // The adjacent line does not.
-    EXPECT_FALSE(cache.contains(0x1040));
+    EXPECT_FALSE(cache.probe(0x1040, false).hit);
 }
 
 TEST(SetAssocCache, LruEvictsLeastRecentlyUsed)
@@ -54,14 +57,14 @@ TEST(SetAssocCache, LruEvictsLeastRecentlyUsed)
 
     cache.insert(a, false);
     cache.insert(b, false);
-    ASSERT_TRUE(cache.lookup(a));  // make b the LRU way
+    ASSERT_TRUE(cache.probe(a, false).hit);  // make b the LRU way
 
     auto victim = cache.insert(c, false);
     ASSERT_TRUE(victim.has_value());
     EXPECT_EQ(victim->lineAddr, b);
-    EXPECT_TRUE(cache.contains(a));
-    EXPECT_TRUE(cache.contains(c));
-    EXPECT_FALSE(cache.contains(b));
+    EXPECT_TRUE(cache.probe(a, false).hit);
+    EXPECT_TRUE(cache.probe(c, false).hit);
+    EXPECT_FALSE(cache.probe(b, false).hit);
 }
 
 TEST(SetAssocCache, VictimCarriesDirtyBit)
@@ -80,8 +83,8 @@ TEST(SetAssocCache, MarkDirtyOnPresentLine)
 {
     SetAssocCache cache(tinyCache(1, 1));
     cache.insert(0x0, false);
-    EXPECT_TRUE(cache.touch(0x0, true));
-    EXPECT_FALSE(cache.touch(0x9999999, true));
+    EXPECT_TRUE(cache.probe(0x0, true).hit);
+    EXPECT_FALSE(cache.probe(0x9999999, true).hit);
 
     auto victim = cache.insert(16 * 64, false);
     ASSERT_TRUE(victim.has_value());
@@ -100,18 +103,18 @@ TEST(SetAssocCache, ReinsertRefreshesWithoutVictim)
     EXPECT_TRUE(evicted->dirty) << "re-insert dirty bit must stick";
 }
 
-TEST(SetAssocCache, InvalidateAndFlush)
+TEST(SetAssocCache, FlushDropsEveryLine)
 {
     SetAssocCache cache(tinyCache());
     cache.insert(0x40, false);
-    cache.invalidate(0x40);
-    EXPECT_FALSE(cache.contains(0x40));
-
-    cache.insert(0x40, false);
     cache.insert(0x80, false);
     cache.flush();
-    EXPECT_FALSE(cache.contains(0x40));
-    EXPECT_FALSE(cache.contains(0x80));
+    EXPECT_FALSE(cache.probe(0x40, false).hit);
+    EXPECT_FALSE(cache.probe(0x80, false).hit);
+    // The flushed set fills from its first way again, evicting
+    // nothing.
+    EXPECT_FALSE(cache.insert(0x40, true).has_value());
+    EXPECT_TRUE(cache.probe(0x40, false).hit);
 }
 
 TEST(SetAssocCache, RejectsBadGeometry)

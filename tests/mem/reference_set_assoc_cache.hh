@@ -53,13 +53,6 @@ class ReferenceSetAssocCache
         return true;
     }
 
-    bool
-    contains(Addr addr) const
-    {
-        return const_cast<ReferenceSetAssocCache *>(this)->findLine(
-                   addr) != nullptr;
-    }
-
     std::optional<Victim>
     insert(Addr addr, bool dirty)
     {
@@ -107,14 +100,6 @@ class ReferenceSetAssocCache
             return false;
         line->dirty = true;
         return true;
-    }
-
-    void
-    invalidate(Addr addr)
-    {
-        Line *line = findLine(addr);
-        if (line)
-            line->valid = false;
     }
 
     void

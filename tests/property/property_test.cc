@@ -48,7 +48,7 @@ TEST_P(CacheGeometryTest, HitAfterInsertAcrossGeometries)
     for (int i = 0; i < 200; ++i) {
         const Addr addr = rng.nextInt(1 * miB) & ~Addr(63);
         cache.insert(addr, false);
-        EXPECT_TRUE(cache.contains(addr))
+        EXPECT_TRUE(cache.probe(addr, false).hit)
             << "freshly inserted line must be resident";
         inserted.push_back(addr);
     }
